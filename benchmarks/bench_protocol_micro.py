@@ -113,13 +113,11 @@ def test_snapshot_cost(benchmark):
 
 
 def test_scheduler_baton_handoff(benchmark):
-    """Scheduler hot path: baton handoffs with 8 parked rank threads.
+    """Scheduler hot path: baton handoffs with 8 pumped sync ranks.
 
-    Every simulated MPI call hands the baton rank → scheduler → rank.
-    With per-proc events a handoff wakes exactly the target thread; the
-    previous shared-condition design ``notify_all``-ed every handoff,
-    waking all nprocs parked threads per MPI call (O(nprocs) spurious
-    wakeups), which dominated simulator wall time at higher rank counts.
+    Every simulated MPI call of a plain sync main hands the baton
+    helper thread → scheduler → helper thread, one lock release and one
+    acquire each way; only the target helper ever wakes.
     """
     benchmark.group = "protocol-micro"
 
@@ -191,26 +189,27 @@ def test_trace_emit_throughput(benchmark):
 
 
 # --------------------------------------------------------------------- #
-# Rank scaling: threads core vs cooperative core.
+# Rank scaling: generator mains vs plain sync mains.
 #
-# The same seeded workload under both execution cores, across rank
-# counts.  Both cores run identical scheduling decisions (round_robin,
-# zero network jitter: no RNG draws anywhere), so the measured gap is
-# purely the control-transfer mechanism — an OS baton handoff (two event
-# waits and a context switch, ~25us) versus a generator resume (~1us).
-# The threaded core is excluded at 1024 ranks: a thread per rank at that
-# scale exhausts default thread/stack budgets on small CI runners, which
-# is exactly the scaling wall the cooperative core removes.
+# The same seeded ring and allreduce, written once as generator mains
+# (resumed on the scheduler thread) and once as plain synchronous mains
+# (each rank pumped on a helper thread), across rank counts.  Both run
+# identical scheduling decisions (round_robin, zero network jitter: no
+# RNG draws anywhere), so the measured gap is purely the control-transfer
+# mechanism: a generator resume (~1us) versus a helper-thread lock
+# handoff per scheduling point.  Sync mains are excluded at 1024 ranks: a
+# helper thread per rank at that scale exhausts default thread/stack
+# budgets on small CI runners.
 #
 # Medians land in ``_SCALING_MEDIANS`` and, when ``RANK_SCALING_BENCH``
 # names a trajectory file, ``test_rank_scaling_record`` stamps them into
-# the BENCH trajectory (labels ``rank_scaling.<workload>.n<N>.<core>``,
-# coop records carrying ``speedup_vs_threads``).
+# the BENCH trajectory (labels ``rank_scaling.<workload>.n<N>.<main>``,
+# generator records carrying ``speedup_vs_sync``).
 # --------------------------------------------------------------------- #
 
 RING_ITERS = 10
 
-#: ``(workload, nprocs, core) -> median seconds`` from this process's run.
+#: ``(workload, nprocs, main) -> median seconds`` from this process's run.
 _SCALING_MEDIANS: dict = {}
 
 
@@ -223,6 +222,15 @@ def _co_scaling_ring(ctx):
     return 1
 
 
+def _sync_scaling_ring(ctx):
+    peer = (ctx.rank + 1) % ctx.size
+    left = (ctx.rank - 1) % ctx.size
+    for i in range(RING_ITERS):
+        ctx.comm.send(i, peer, tag=1)
+        ctx.comm.recv(source=left, tag=1)
+    return 1
+
+
 def _co_scaling_allreduce(ctx):
     total = 0
     for _ in range(4):
@@ -230,40 +238,49 @@ def _co_scaling_allreduce(ctx):
     return total
 
 
+def _sync_scaling_allreduce(ctx):
+    total = 0
+    for _ in range(4):
+        total = ctx.comm.allreduce(1, SUM)
+    return total
+
+
 _SCALING_WORKLOADS = {
-    "ring": (_co_scaling_ring, lambda n: n),
-    "allreduce": (_co_scaling_allreduce, lambda n: n * n),
+    "ring": ({"gen": _co_scaling_ring, "sync": _sync_scaling_ring}, lambda n: n),
+    "allreduce": (
+        {"gen": _co_scaling_allreduce, "sync": _sync_scaling_allreduce},
+        lambda n: n * n,
+    ),
 }
 
 _SCALING_CELLS = [
-    (8, "threads"), (8, "coop"),
-    (64, "threads"), (64, "coop"),
-    (256, "threads"), (256, "coop"),
-    (1024, "coop"),
+    (8, "sync"), (8, "gen"),
+    (64, "sync"), (64, "gen"),
+    (256, "sync"), (256, "gen"),
+    (1024, "gen"),
 ]
 
 
-def _scaling_config(nprocs, core):
-    # round_robin + zero jitter keeps numpy out of both cores' hot loops,
-    # so the comparison isolates the handoff mechanism itself.
+def _scaling_config(nprocs):
+    # round_robin + zero jitter keeps numpy out of the hot loop, so the
+    # comparison isolates the handoff mechanism itself.
     return SimConfig(
-        nprocs=nprocs, seed=3, sim_core=core,
-        sched_policy="round_robin", jitter=0.0,
+        nprocs=nprocs, seed=3, sched_policy="round_robin", jitter=0.0,
     )
 
 
-@pytest.mark.parametrize("nprocs,core", _SCALING_CELLS)
+@pytest.mark.parametrize("nprocs,main", _SCALING_CELLS)
 @pytest.mark.parametrize("workload", sorted(_SCALING_WORKLOADS))
-def test_rank_scaling(benchmark, workload, nprocs, core):
+def test_rank_scaling(benchmark, workload, nprocs, main):
     benchmark.group = f"rank-scaling-{workload}"
-    main, expected = _SCALING_WORKLOADS[workload]
+    mains, expected = _SCALING_WORKLOADS[workload]
 
     def run():
-        sim = Simulator(_scaling_config(nprocs, core), main)
+        sim = Simulator(_scaling_config(nprocs), mains[main])
         return sum(sim.run().results)
 
     assert benchmark(run) == expected(nprocs)
-    _SCALING_MEDIANS[(workload, nprocs, core)] = benchmark.stats.stats.median
+    _SCALING_MEDIANS[(workload, nprocs, main)] = benchmark.stats.stats.median
 
 
 def test_rank_scaling_record():
@@ -280,19 +297,13 @@ def test_rank_scaling_record():
     if not _SCALING_MEDIANS:
         pytest.skip("no rank-scaling samples collected in this run")
     recorder = BenchRecorder(path)
-    for (workload, nprocs, core), median in sorted(_SCALING_MEDIANS.items()):
-        extra = {"workload": workload, "ranks": nprocs, "sim_core": core}
-        threads_median = _SCALING_MEDIANS.get((workload, nprocs, "threads"))
-        if core == "coop" and threads_median:
-            extra["speedup_vs_threads"] = round(threads_median / median, 3)
+    for (workload, nprocs, main), median in sorted(_SCALING_MEDIANS.items()):
+        extra = {"workload": workload, "ranks": nprocs, "main": main}
+        sync_median = _SCALING_MEDIANS.get((workload, nprocs, "sync"))
+        if main == "gen" and sync_median:
+            extra["speedup_vs_sync"] = round(sync_median / median, 3)
         recorder.record(
-            f"rank_scaling.{workload}.n{nprocs}.{core}",
+            f"rank_scaling.{workload}.n{nprocs}.{main}",
             FarmStats(cells=1, misses=1, executed=1, wall_seconds=median),
             extra=extra,
         )
-    # Regression floor for the tentpole's headline number: a quiet runner
-    # measures ~5.5-5.8x at 64 ranks; 3x means the coop win regressed.
-    ring = _SCALING_MEDIANS
-    if ("ring", 64, "threads") in ring and ("ring", 64, "coop") in ring:
-        speedup = ring[("ring", 64, "threads")] / ring[("ring", 64, "coop")]
-        assert speedup >= 3.0, f"coop speedup at 64 ranks regressed: {speedup:.2f}x"

@@ -46,8 +46,6 @@ Subpackages
     (``repro-farm run | status | gc``).
 """
 
-import warnings
-
 from repro.api import (
     AppSpec,
     CommLike,
@@ -78,30 +76,5 @@ __all__ = [
     "get_app",
     "list_apps",
     "register",
-    "run_variant_suite",
-    "run_with_recovery",
 ]
 
-
-def run_with_recovery(*args, **kwargs):
-    """Deprecated shim — use :meth:`Session.run` instead."""
-    warnings.warn(
-        "repro.run_with_recovery is deprecated; use repro.Session().run(...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.runtime.driver import run_with_recovery as _impl
-
-    return _impl(*args, **kwargs)
-
-
-def run_variant_suite(*args, **kwargs):
-    """Deprecated shim — use :meth:`Session.sweep` instead."""
-    warnings.warn(
-        "repro.run_variant_suite is deprecated; use repro.Session().sweep(...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.runtime.driver import run_variant_suite as _impl
-
-    return _impl(*args, **kwargs)

@@ -25,6 +25,7 @@ or decorate a plain ``main(ctx)`` function::
 from __future__ import annotations
 
 import importlib
+import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -78,6 +79,23 @@ class _FunctionApp:
         return self.fn(ctx)
 
 
+class _GeneratorFunctionApp(_FunctionApp):
+    """Adapter for a generator ``main(ctx)``: ``co_call`` keeps its
+    generator form visible, so the driver resumes it on the scheduler
+    thread instead of pumping it on a helper thread."""
+
+    def co_call(self, ctx: Any):
+        ctx.params = self.params
+        return (yield from self.fn(ctx))
+
+
+def function_app(fn: AppMain, params: Any) -> _FunctionApp:
+    """The driver adapter for a plain or generator ``main(ctx)``."""
+    if inspect.isgeneratorfunction(fn):
+        return _GeneratorFunctionApp(fn, params)
+    return _FunctionApp(fn, params)
+
+
 def register(spec: AppSpec) -> AppSpec:
     """Add ``spec`` to the registry (idempotent per name+module)."""
     existing = _REGISTRY.get(spec.name)
@@ -102,7 +120,7 @@ def app(fn: Optional[AppMain] = None, *, name: str = "", default_params: Any = N
         doc = (target.__doc__ or "").strip()
         spec = AppSpec(
             name=name or target.__name__,
-            factory=lambda params, _fn=target: _FunctionApp(_fn, params),
+            factory=lambda params, _fn=target: function_app(_fn, params),
             default_params=default_params,
             description=doc.splitlines()[0] if doc else "",
             module=target.__module__,

@@ -40,7 +40,7 @@ from typing import (
     Union,
 )
 
-from repro.api.registry import AppMain, AppSpec, _FunctionApp, get_app, rehydrate
+from repro.api.registry import AppMain, AppSpec, function_app, get_app, rehydrate
 from repro.errors import ConfigError
 from repro.runtime.config import RunConfig, Variant
 from repro.runtime.driver import RunOutcome, run_with_recovery
@@ -228,7 +228,7 @@ def _build_app(app_ref: tuple, params: Any) -> AppMain:
     fn = app_ref[1]
     if params is None:
         return fn
-    return _FunctionApp(fn, params)
+    return function_app(fn, params)
 
 
 def _cell_cacheable(payload: tuple) -> bool:

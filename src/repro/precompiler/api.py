@@ -332,11 +332,11 @@ class PrecompiledApp:
     def co_call(self, ctx):
         """Cooperative entry: the application as a resumable generator.
 
-        The coop core's rank body ``yield from``-s this; every suspending
+        The simulator's rank body ``yield from``-s this; every suspending
         MPI call inside the transformed code yields through its generator
-        twin, so the whole rank suspends cooperatively.  Frames captured
+        form, so the whole rank suspends cooperatively.  Frames captured
         here are interchangeable with the synchronous form's (same
-        func_ids), so checkpoints restore across cores.
+        func_ids), so checkpoints restore across the two forms.
         """
         ctx.params = self.params
         co_entry = self.unit.co_functions[self.entry_name]

@@ -21,7 +21,8 @@ middle of the function — re-executing the active call, which re-enters the
 next function down, until the innermost frame's ``potential_checkpoint``
 block is reached and normal execution resumes (the Figure-6 mechanism).
 
-One runtime instance is active per thread (rank), via a ``threading.local``.
+One runtime instance is active per rank, keyed on the simulator's
+current-proc registry (a ``threading.local`` off the simulator).
 """
 
 from __future__ import annotations
@@ -45,11 +46,12 @@ _tls = threading.local()
 def current_runtime() -> Optional["C3StackRuntime"]:
     """The calling rank's active runtime.
 
-    Under the cooperative core every rank shares one OS thread, so "which
-    rank is executing" is the coop current-proc registry, not the thread;
-    each :class:`~repro.simmpi.process.Proc` carries its runtime in its
-    ``c3_runtime`` slot.  Rank *threads* (the threaded core, or plain
-    unit-test calls) fall back to the historical thread-local.
+    Generator ranks share the scheduler thread, so "which rank is
+    executing" is the coop current-proc registry, not the thread (a
+    pumped rank's helper thread sets it too); each
+    :class:`~repro.simmpi.process.Proc` carries its runtime in its
+    ``c3_runtime`` slot.  Calls off the simulator (plain unit-test calls)
+    fall back to a thread-local.
     """
     proc = coop.current_proc()
     if proc is not None:
@@ -86,9 +88,9 @@ class C3StackRuntime:
     def activate(self) -> "C3StackRuntime":
         """Install as the calling rank's active runtime.
 
-        When the cooperative core is resuming a rank generator the runtime
-        lands in that rank's ``Proc.c3_runtime`` slot; otherwise (rank
-        threads, plain test calls) in the thread-local, as always.
+        Inside a simulated rank the runtime lands in that rank's
+        ``Proc.c3_runtime`` slot; off the simulator (plain test calls) in
+        the thread-local.
         """
         proc = coop.current_proc()
         if proc is not None:

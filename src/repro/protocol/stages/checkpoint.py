@@ -61,7 +61,7 @@ class CheckpointStage(ProtocolStage):
 
     def progress(self) -> None:
         """Drain and handle queued control messages; poll the initiator."""
-        coop.drive(self.co_progress(), self.core.comm)
+        coop.drive(self.co_progress())
 
     def co_progress(self):
         core = self.core
@@ -75,7 +75,7 @@ class CheckpointStage(ProtocolStage):
             yield from self.initiator.co_poll(core.state.epoch)
 
     def handle_control(self, msg: ctl.ControlMessage, source: int) -> None:
-        coop.drive(self.co_handle_control(msg, source), self.core.comm)
+        coop.drive(self.co_handle_control(msg, source))
 
     def co_handle_control(self, msg: ctl.ControlMessage, source: int):
         core = self.core
@@ -121,7 +121,7 @@ class CheckpointStage(ProtocolStage):
     # -- receivedAll? / finalizeLog (Figure 4) --------------------------- #
 
     def received_all_check(self) -> None:
-        coop.drive(self.co_received_all_check(), self.core.comm)
+        coop.drive(self.co_received_all_check())
 
     def co_received_all_check(self):
         core = self.core
@@ -137,7 +137,7 @@ class CheckpointStage(ProtocolStage):
             )
 
     def finalize_log(self) -> None:
-        coop.drive(self.co_finalize_log(), self.core.comm)
+        coop.drive(self.co_finalize_log())
 
     def co_finalize_log(self):
         core = self.core
@@ -166,7 +166,7 @@ class CheckpointStage(ProtocolStage):
         (the initiator never starts a wave during replay, so this can only
         trigger in exotic interleavings and is safe to postpone).
         """
-        return coop.drive(self.co_potential_checkpoint(), self.core.comm)
+        return coop.drive(self.co_potential_checkpoint())
 
     def co_potential_checkpoint(self):
         core = self.core
@@ -178,7 +178,7 @@ class CheckpointStage(ProtocolStage):
         return True
 
     def take_local_checkpoint(self) -> None:
-        coop.drive(self.co_take_local_checkpoint(), self.core.comm)
+        coop.drive(self.co_take_local_checkpoint())
 
     def co_take_local_checkpoint(self):
         core = self.core

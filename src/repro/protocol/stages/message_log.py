@@ -32,7 +32,7 @@ class MessageLogStage(ProtocolStage):
     name = "message-log"
 
     def on_message(self, env, info: PiggybackInfo, mclass: MessageClass) -> None:
-        coop.drive(self.co_on_message(env, info, mclass), self.core.comm)
+        coop.drive(self.co_on_message(env, info, mclass))
 
     def co_on_message(self, env, info: PiggybackInfo, mclass: MessageClass):
         core = self.core

@@ -191,19 +191,17 @@ class ProtocolPipeline:
         self.stats.stage_seconds[name] += perf_counter() - t0
 
     # ------------------------------------------------------------------ #
-    # Cooperative-core plumbing.
+    # Generator plumbing.
     #
     # Every CommLike operation below is written ONCE, as a ``co_*``
     # generator whose yields are the scheduling points; the synchronous
-    # method of the same name just drives that generator (under the
-    # threaded core a yield suspends the calling rank thread on its baton
-    # gate; under the cooperative core the generator is resumed by the
-    # scheduler directly).  ``_co_call`` routes an underlying-communicator
-    # operation through its generator twin when one exists and falls back
+    # method of the same name just drives that generator with
+    # ``coop.drive`` (a yield parks the pumped helper thread of a
+    # synchronous main).  ``_co_call`` routes an underlying-communicator
+    # operation through its generator form when one exists and falls back
     # to the plain method for comm doubles that only implement the
     # synchronous surface (such stand-ins never suspend, so the generators
-    # complete on first resume and the sync wrappers behave exactly like
-    # the historical code).
+    # complete on first resume).
     # ------------------------------------------------------------------ #
 
     def _co_call(self, target: Any, name: str, *args: Any, **kwargs: Any):
@@ -224,10 +222,10 @@ class ProtocolPipeline:
         )
 
     def _co_yield_point(self):
+        # A comm double without ``co_yield_point`` has no scheduler to
+        # yield to.
         co = getattr(self.comm, "co_yield_point", None)
-        if co is None:
-            self.comm._yield_point()
-        else:
+        if co is not None:
             yield from co()
 
     # ------------------------------------------------------------------ #
@@ -235,7 +233,7 @@ class ProtocolPipeline:
     # ------------------------------------------------------------------ #
 
     def _send_control(self, msg: ctl.ControlMessage, dest: int) -> None:
-        coop.drive(self._co_send_control(msg, dest), self.comm)
+        coop.drive(self._co_send_control(msg, dest))
 
     def _co_send_control(self, msg: ctl.ControlMessage, dest: int):
         if dest == self.rank:
@@ -244,7 +242,7 @@ class ProtocolPipeline:
             yield from self._co_call(self.comm, "send", msg, dest, tag=TAG_CONTROL)
 
     def _handle_control(self, msg: ctl.ControlMessage, source: int) -> None:
-        coop.drive(self._co_handle_control(msg, source), self.comm)
+        coop.drive(self._co_handle_control(msg, source))
 
     def _co_handle_control(self, msg: ctl.ControlMessage, source: int):
         if self.ckpt is None:
@@ -256,7 +254,7 @@ class ProtocolPipeline:
 
     def _progress(self) -> None:
         """Drain control traffic and poll the initiator (checkpoint stage)."""
-        coop.drive(self._co_progress(), self.comm)
+        coop.drive(self._co_progress())
 
     def _co_progress(self):
         if self.ckpt is None:
@@ -313,7 +311,7 @@ class ProtocolPipeline:
 
     def send(self, payload: Any, dest: int, tag: int = 0) -> None:
         """Application blocking send with piggybacked protocol data."""
-        coop.drive(self.co_send(payload, dest, tag), self.comm)
+        coop.drive(self.co_send(payload, dest, tag))
 
     def co_send(self, payload: Any, dest: int, tag: int = 0):
         if self._raw:
@@ -364,7 +362,7 @@ class ProtocolPipeline:
     def isend(self, payload: Any, dest: int, tag: int = 0) -> Any:
         """Nonblocking send; returns a pseudo-request (Section 5.2) on a
         staged stack, a raw request on the empty stack."""
-        return coop.drive(self.co_isend(payload, dest, tag), self.comm)
+        return coop.drive(self.co_isend(payload, dest, tag))
 
     def co_isend(self, payload: Any, dest: int, tag: int = 0):
         # The underlying isend never suspends (eager sends); the scheduling
@@ -415,7 +413,7 @@ class ProtocolPipeline:
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
         """Application blocking receive."""
-        return coop.drive(self.co_recv(source, tag), self.comm)
+        return coop.drive(self.co_recv(source, tag))
 
     def co_recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         if self._raw:
@@ -442,7 +440,7 @@ class ProtocolPipeline:
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
         """Nonblocking receive pseudo-request (raw request on empty stack)."""
-        return coop.drive(self.co_irecv(source, tag), self.comm)
+        return coop.drive(self.co_irecv(source, tag))
 
     def co_irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         # Posting the receive never suspends; only the progress drain does.
@@ -460,7 +458,7 @@ class ProtocolPipeline:
 
     def wait(self, req: Any) -> Any:
         """Complete a pseudo-request (the MPI_Wait analogue)."""
-        return coop.drive(self.co_wait(req), self.comm)
+        return coop.drive(self.co_wait(req))
 
     def co_wait(self, req: Any):
         if self._raw:
@@ -507,7 +505,7 @@ class ProtocolPipeline:
 
     def test(self, req: Any) -> bool:
         """Nonblocking completion check for a pseudo-request."""
-        return coop.drive(self.co_test(req), self.comm)
+        return coop.drive(self.co_test(req))
 
     def co_test(self, req: Any):
         if self._raw:
@@ -532,8 +530,7 @@ class ProtocolPipeline:
     ) -> Any:
         """Combined exchange built from the pipeline's own send + recv."""
         return coop.drive(
-            self.co_sendrecv(payload, dest, recv_source, send_tag, recv_tag),
-            self.comm,
+            self.co_sendrecv(payload, dest, recv_source, send_tag, recv_tag)
         )
 
     def co_sendrecv(
@@ -561,7 +558,7 @@ class ProtocolPipeline:
 
     def _classify_and_deliver(self, env) -> Any:
         """Figure 4's communicationEventHandler for one arrived message."""
-        return coop.drive(self._co_classify_and_deliver(env), self.comm)
+        return coop.drive(self._co_classify_and_deliver(env))
 
     def _co_classify_and_deliver(self, env):
         t0 = perf_counter()
@@ -603,7 +600,7 @@ class ProtocolPipeline:
         recorded result is returned instead of re-computing, so the replayed
         execution is identical to the one peers' checkpoints observed.
         """
-        return coop.drive(self.co_nondet(compute), self.comm)
+        return coop.drive(self.co_nondet(compute))
 
     def co_nondet(self, compute: Callable[[], Any]):
         if self._raw:
@@ -710,7 +707,7 @@ class ProtocolPipeline:
         return self._raw_comm(handle_id).rank
 
     def bcast(self, obj: Any, root: int = 0, comm: Any = None) -> Any:
-        return coop.drive(self.co_bcast(obj, root, comm), self.comm)
+        return coop.drive(self.co_bcast(obj, root, comm))
 
     def co_bcast(self, obj: Any, root: int = 0, comm: Any = None):
         if self._raw:
@@ -723,7 +720,7 @@ class ProtocolPipeline:
         )
 
     def reduce(self, obj: Any, op: Op, root: int = 0, comm: Any = None) -> Any:
-        return coop.drive(self.co_reduce(obj, op, root, comm), self.comm)
+        return coop.drive(self.co_reduce(obj, op, root, comm))
 
     def co_reduce(self, obj: Any, op: Op, root: int = 0, comm: Any = None):
         if self._raw:
@@ -738,7 +735,7 @@ class ProtocolPipeline:
         )
 
     def allreduce(self, obj: Any, op: Op, comm: Any = None) -> Any:
-        return coop.drive(self.co_allreduce(obj, op, comm), self.comm)
+        return coop.drive(self.co_allreduce(obj, op, comm))
 
     def co_allreduce(self, obj: Any, op: Op, comm: Any = None):
         if self._raw:
@@ -753,7 +750,7 @@ class ProtocolPipeline:
         )
 
     def gather(self, obj: Any, root: int = 0, comm: Any = None) -> Any:
-        return coop.drive(self.co_gather(obj, root, comm), self.comm)
+        return coop.drive(self.co_gather(obj, root, comm))
 
     def co_gather(self, obj: Any, root: int = 0, comm: Any = None):
         if self._raw:
@@ -766,7 +763,7 @@ class ProtocolPipeline:
         )
 
     def allgather(self, obj: Any, comm: Any = None) -> list[Any]:
-        return coop.drive(self.co_allgather(obj, comm), self.comm)
+        return coop.drive(self.co_allgather(obj, comm))
 
     def co_allgather(self, obj: Any, comm: Any = None):
         if self._raw:
@@ -779,7 +776,7 @@ class ProtocolPipeline:
         )
 
     def scatter(self, objs: list[Any] | None, root: int = 0, comm: Any = None) -> Any:
-        return coop.drive(self.co_scatter(objs, root, comm), self.comm)
+        return coop.drive(self.co_scatter(objs, root, comm))
 
     def co_scatter(self, objs: list[Any] | None, root: int = 0, comm: Any = None):
         if self._raw:
@@ -794,7 +791,7 @@ class ProtocolPipeline:
         )
 
     def alltoall(self, objs: list[Any], comm: Any = None) -> list[Any]:
-        return coop.drive(self.co_alltoall(objs, comm), self.comm)
+        return coop.drive(self.co_alltoall(objs, comm))
 
     def co_alltoall(self, objs: list[Any], comm: Any = None):
         if self._raw:
@@ -807,7 +804,7 @@ class ProtocolPipeline:
         )
 
     def scan(self, obj: Any, op: Op, comm: Any = None) -> Any:
-        return coop.drive(self.co_scan(obj, op, comm), self.comm)
+        return coop.drive(self.co_scan(obj, op, comm))
 
     def co_scan(self, obj: Any, op: Op, comm: Any = None):
         if self._raw:
@@ -827,7 +824,7 @@ class ProtocolPipeline:
         in the same epoch.  If not, processes that have not yet taken their
         local checkpoints do so."
         """
-        coop.drive(self.co_barrier(comm), self.comm)
+        coop.drive(self.co_barrier(comm))
 
     def co_barrier(self, comm: Any = None):
         if self._raw:
@@ -871,7 +868,7 @@ class ProtocolPipeline:
         Returns True if a checkpoint was taken; always False on stacks
         without a checkpoint stage.
         """
-        return coop.drive(self.co_potential_checkpoint(), self.comm)
+        return coop.drive(self.co_potential_checkpoint())
 
     def co_potential_checkpoint(self):
         if self._raw:
@@ -945,7 +942,7 @@ class ProtocolPipeline:
         self, color: int, key: int | None = None, parent: Any = None
     ) -> Optional[Any]:
         """Split a communicator behind a (pseudo or raw) handle (collective)."""
-        return coop.drive(self.co_comm_split(color, key, parent), self.comm)
+        return coop.drive(self.co_comm_split(color, key, parent))
 
     def co_comm_split(self, color: int, key: int | None = None, parent: Any = None):
         if self._raw:
@@ -1075,7 +1072,7 @@ class ProtocolPipeline:
         exchange (each receiver tells each sender which early-message IDs to
         suppress) and arms the deterministic replay engine.
         """
-        coop.drive(self.co_restore_from(data, logs), self.comm)
+        coop.drive(self.co_restore_from(data, logs))
 
     def co_restore_from(self, data: CheckpointData, logs: EpochLogs):
         if self.rep is None:
@@ -1161,7 +1158,7 @@ class _LayerCollEndpoint:
     def coll_recv(self, source: int, tag: int) -> Any:
         return self._raw.coll_recv(source, tag)
 
-    # Generator twins (cooperative core); fall back to the synchronous
+    # Generator forms; fall back to the synchronous
     # surface for comm doubles, which never suspend.
 
     def co_coll_send(self, dest: int, payload: Any, tag: int):

@@ -36,7 +36,7 @@ class ReplayStage(ProtocolStage):
 
     def serve_recv(self) -> Any:
         """Serve one receive deterministically from the match log."""
-        return coop.drive(self.co_serve_recv(), self.core.comm)
+        return coop.drive(self.co_serve_recv())
 
     def co_serve_recv(self):
         core = self.core
@@ -73,7 +73,7 @@ class ReplayStage(ProtocolStage):
     # -- nondet / collectives ------------------------------------------- #
 
     def serve_nondet(self) -> Any:
-        return coop.drive(self.co_serve_nondet(), self.core.comm)
+        return coop.drive(self.co_serve_nondet())
 
     def co_serve_nondet(self):
         core = self.core
@@ -95,7 +95,7 @@ class ReplayStage(ProtocolStage):
     # -- lifecycle ------------------------------------------------------- #
 
     def maybe_end_replay(self) -> None:
-        coop.drive(self.co_maybe_end_replay(), self.core.comm)
+        coop.drive(self.co_maybe_end_replay())
 
     def co_maybe_end_replay(self):
         core = self.core

@@ -19,12 +19,10 @@ V3        "Full Checkpoints"                          everything
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import ConfigError
-from repro.protocol.layer import C3Config
 from repro.protocol.stages.registry import StackSpec, variant_stack
 from repro.simmpi.clock import CostModel
 
@@ -98,14 +96,6 @@ class RunConfig:
     #: … and the content-addressing granularity.
     ckpt_chunk_size: int = 65536
     max_restarts: int = 16
-    #: Execution core for the simulated ranks: ``"coop"`` (default) runs
-    #: every rank as a resumable generator on one thread; ``"threads"``
-    #: keeps the historical thread-per-rank baton passing.  Outcomes are
-    #: bit-identical; coop avoids per-switch thread handoffs and scales to
-    #: thousands of ranks.  Applications whose ``main`` is plain
-    #: synchronous code (no generator form, no precompiled unit) fall back
-    #: to threads automatically.
-    sim_core: str = "coop"
     sched_policy: str = "random"
     ordering: str = "per_tag_fifo"
     base_delay: float = 5e-6
@@ -130,10 +120,6 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.max_restarts < 0:
             raise ConfigError("max_restarts must be >= 0")
-        if self.sim_core not in ("threads", "coop"):
-            raise ConfigError(
-                f"sim_core must be 'threads' or 'coop', got {self.sim_core!r}"
-            )
         if self.check not in ("off", "warn", "error"):
             raise ConfigError(
                 f"check must be 'off', 'warn' or 'error', got {self.check!r}"
@@ -158,22 +144,6 @@ class RunConfig:
         if self.stack is not None:
             return variant_stack(self.stack)
         return variant_stack(_VARIANT_STACK_NAMES[self.variant])
-
-    def c3_config(self) -> C3Config:
-        """Deprecated: derive the protocol-layer configuration.
-
-        The boolean-flag ``C3Config`` is now itself derived from the stage
-        stack; prefer :meth:`stack_spec` (and
-        ``stack_spec().c3_config(self)`` where the legacy object is still
-        needed).
-        """
-        warnings.warn(
-            "RunConfig.c3_config() is deprecated; variants are declared "
-            "stage stacks now — use RunConfig.stack_spec()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.stack_spec().c3_config(self)
 
     @property
     def checkpointing_active(self) -> bool:

@@ -140,7 +140,7 @@ class C3AppContext:
         """Protocol-logged uniform variate from the per-rank stream."""
         return self.nondet(self._rank_ctx.rng.random)
 
-    # -- generator twins (cooperative core) ----------------------------- #
+    # -- generator forms ------------------------------------------------ #
     #
     # Used by generator application mains and by the precompiler's
     # cooperative code objects; CommLike implementations without a co_*

@@ -20,7 +20,6 @@ attempt *n* does not fire again in attempt *n+1* (the faulty node has been
 
 from __future__ import annotations
 
-import inspect
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
@@ -30,37 +29,13 @@ from repro.errors import RecoveryError
 from repro.protocol.layer import C3Layer
 from repro.runtime.config import RunConfig, Variant
 from repro.runtime.context import C3AppContext
+from repro.simmpi import coop
 from repro.simmpi.failures import CheckpointCrash, FailureSchedule, KillEvent
 from repro.simmpi.simulator import SimConfig, SimResult, Simulator
 from repro.statesave.storage import Storage
 from repro.trace.recorder import TraceRecorder
 
 AppMain = Callable[[C3AppContext], Any]
-
-
-def resolve_sim_core(app_main: AppMain, config: RunConfig) -> str:
-    """The effective simulator core for this app under this config.
-
-    ``sim_core="coop"`` needs a resumable application: either a
-    ``co_call`` generator entry (:class:`~repro.precompiler.api.
-    PrecompiledApp`) or a ``main(ctx)`` that is itself a generator
-    function.  Plain synchronous mains fall back to the threaded core —
-    outcomes are identical either way, so the fallback is silent.
-    """
-    if config.sim_core == "threads":
-        return "threads"
-    coop_capable = hasattr(app_main, "co_call") or inspect.isgeneratorfunction(
-        app_main
-    )
-    return "coop" if coop_capable else "threads"
-
-
-def _co_app_result(app_main: AppMain, app_ctx: C3AppContext):
-    """Invoke the application's generator form (coop-core rank bodies)."""
-    co_call = getattr(app_main, "co_call", None)
-    if co_call is not None:
-        return (yield from co_call(app_ctx))
-    return (yield from app_main(app_ctx))
 
 
 @dataclass
@@ -265,7 +240,6 @@ def _recovery_loop(
     can_restore: bool,
     use_raw: bool,
 ) -> RunOutcome:
-    sim_core = resolve_sim_core(app_main, config)
     attempt_index = 0
     while True:
         failures.begin_attempt(attempt_index)
@@ -281,36 +255,18 @@ def _recovery_loop(
             )
 
         def rank_main(rank_ctx, _committed=committed):
+            # One body for every rank: build the layer and restore on the
+            # scheduler thread; only a plain synchronous app call is pumped
+            # (``coop.main_task``).
             if use_raw:
                 adapter = RawCommAdapter(rank_ctx.comm)
                 layers[rank_ctx.rank] = adapter
                 rank_ctx.c3 = adapter
                 app_ctx = C3AppContext(rank_ctx, adapter)
-                if sim_core == "coop":
-                    return _co_app_result(app_main, app_ctx)
-                return app_main(app_ctx)
+                return (yield from coop.main_task(app_main, app_ctx))
             layer = C3Layer(rank_ctx.comm, c3cfg, storage, stack=spec)
             layers[rank_ctx.rank] = layer
             rank_ctx.c3 = layer
-            if sim_core == "coop":
-                # Returns a generator: the coop core drives restore and the
-                # application as one resumable rank body.
-                return _co_staged_rank(rank_ctx, layer, _committed)
-            restored_state = None
-            restored = False
-            if _committed is not None:
-                data = storage.read_state(rank_ctx.rank, _committed)
-                logs = storage.read_log(rank_ctx.rank, _committed)
-                layer.restore_from(data, logs)
-                restored_state = data.app_state
-                restored = True
-                rank_ctx.restoring = True
-            app_ctx = C3AppContext(
-                rank_ctx, layer, restored_app_state=restored_state, restored=restored
-            )
-            return app_main(app_ctx)
-
-        def _co_staged_rank(rank_ctx, layer, _committed):
             restored_state = None
             restored = False
             if _committed is not None:
@@ -323,7 +279,7 @@ def _recovery_loop(
             app_ctx = C3AppContext(
                 rank_ctx, layer, restored_app_state=restored_state, restored=restored
             )
-            return (yield from _co_app_result(app_main, app_ctx))
+            return (yield from coop.main_task(app_main, app_ctx))
 
         sim = Simulator(
             SimConfig(
@@ -337,7 +293,6 @@ def _recovery_loop(
                 detector_timeout=config.detector_timeout,
                 cost_model=config.cost_model,
                 max_slices=config.max_slices,
-                sim_core=sim_core,
             ),
             rank_main,
             failures=failures,

@@ -1,9 +1,10 @@
 """simmpi: a deterministic MPI simulator substrate.
 
 This package stands in for the paper's cluster + vendor MPI: it provides
-ranks with real Python call stacks (one thread each, deterministically
-interleaved), an MPI-style communicator API, a reliable but reorderable
-network, stopping-fault injection, and heartbeat failure detection.
+deterministically interleaved ranks (generator mains, or plain mains with
+real Python call stacks on pumped helper threads), an MPI-style
+communicator API, a reliable but reorderable network, stopping-fault
+injection, and heartbeat failure detection.
 
 Quick use::
 

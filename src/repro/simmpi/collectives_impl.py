@@ -27,13 +27,14 @@ network's ``random`` ordering mode.
 
 Each algorithm exists once, as a ``co_*`` generator whose sends/receives
 are ``yield from`` calls on the endpoint's ``co_coll_send``/``co_coll_recv``
-— the cooperative simulator core suspends the whole rank there.  The
-synchronous entry points (``bcast(ep, ...)`` etc.) wrap the endpoint in
-:class:`_SyncView`, whose ``co_*`` methods call the endpoint's plain
-``coll_send``/``coll_recv`` and never yield, then run the algorithm with
-:func:`~repro.simmpi.coop.run_inline` — on a real communicator under the
-threaded core the blocking happens inside ``coll_recv`` exactly as it
-always did, and test endpoints need only implement the sync interface.
+— the simulator suspends the whole rank there.  The synchronous entry
+points (``bcast(ep, ...)`` etc.) wrap the endpoint in :class:`_SyncView`,
+whose ``co_*`` methods call the endpoint's plain ``coll_send``/
+``coll_recv`` and never yield, then run the algorithm with
+:func:`~repro.simmpi.coop.run_inline` — on a real communicator the
+blocking happens inside ``coll_recv`` (a ``coop.drive`` bridge that parks
+a pumped rank's helper thread), and test endpoints need only implement
+the sync interface.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.errors import MatchError
 from repro.simmpi import collectives_impl as coll
+from repro.simmpi import coop
 from repro.simmpi.constants import ANY_SOURCE, ANY_TAG, is_user_tag
 from repro.simmpi.group import Group
 from repro.simmpi.mailbox import RecvDescriptor
@@ -78,14 +79,8 @@ class Comm:
     def _local(self, world_rank: int) -> int:
         return self.group.rank_of(world_rank)
 
-    def _yield_point(self) -> None:
-        self.sim.scheduler.yield_point(self.proc)
-
     def co_yield_point(self):
         yield from self.sim.scheduler.co_yield_point(self.proc)
-
-    def _block_on_recv(self, desc: RecvDescriptor) -> None:
-        self.sim.scheduler.block_on_recv(self.proc, desc)
 
     def _co_block_on_recv(self, desc: RecvDescriptor):
         yield from self.sim.scheduler.co_block_on_recv(self.proc, desc)
@@ -119,22 +114,34 @@ class Comm:
     # Point-to-point.
     # ------------------------------------------------------------------ #
 
+    # Each blocking operation is written once, as a ``co_*`` generator
+    # whose yields are its scheduling points; the synchronous method of
+    # the same name drives it with ``coop.drive``.  The suspension-free
+    # calls (``isend``, ``irecv``, ``iprobe``, ``take_matching``, ``dup``)
+    # have no generator form.
+
     def send(self, payload: Any, dest: int, tag: int = 0, piggyback: Any = None) -> None:
         """Eager-buffered blocking send (returns once the message is posted).
 
         ``piggyback`` is reserved for the C3 protocol layer; application code
         should never pass it.
         """
+        coop.drive(self.co_send(payload, dest, tag, piggyback))
+
+    def co_send(self, payload: Any, dest: int, tag: int = 0, piggyback: Any = None):
         self._check_send_args(dest, tag)
         self._post_envelope(self._world(dest), payload, tag, piggyback)
-        self._yield_point()
+        yield from self.sim.scheduler.co_yield_point(self.proc)
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
         """Blocking receive; returns the payload.
 
         The matched message's metadata is available as ``last_status``.
         """
-        env = self.recv_envelope(source, tag)
+        return self.recv_envelope(source, tag).payload
+
+    def co_recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
+        env = yield from self.co_recv_envelope(source, tag)
         return env.payload
 
     def recv_envelope(
@@ -149,36 +156,7 @@ class Comm:
         recovery replay, to wait for the message with a specific
         ``messageID`` via ``predicate``.
         """
-        desc = RecvDescriptor(self._world(source), tag, self.context, predicate)
-        self.proc.mailbox.post(desc)
-        if desc.matched is None:
-            self._block_on_recv(desc)
-        else:
-            # Matching an already-queued message is still a scheduling point;
-            # without it, tight recv loops would starve other ranks.
-            self._yield_point()
-        env = desc.matched
-        assert env is not None
-        self._clock.charge(self._clock.cost.step)
-        self.last_status = Status(
-            source=self._local(env.source), tag=env.tag, nbytes=env.nbytes
-        )
-        return env
-
-    # -- generator twins (cooperative core) ----------------------------- #
-    #
-    # Same bodies as the synchronous calls above with each scheduling
-    # point expressed as a yield; the suspension-free calls (``isend``,
-    # ``irecv``, ``iprobe``, ``take_matching``, ``dup``) have no twins.
-
-    def co_send(self, payload: Any, dest: int, tag: int = 0, piggyback: Any = None):
-        self._check_send_args(dest, tag)
-        self._post_envelope(self._world(dest), payload, tag, piggyback)
-        yield from self.sim.scheduler.co_yield_point(self.proc)
-
-    def co_recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        env = yield from self.co_recv_envelope(source, tag)
-        return env.payload
+        return coop.drive(self.co_recv_envelope(source, tag, predicate))
 
     def co_recv_envelope(
         self,
@@ -202,6 +180,17 @@ class Comm:
         )
         return env
 
+    def sendrecv(
+        self,
+        payload: Any,
+        dest: int,
+        recv_source: int,
+        send_tag: int = 0,
+        recv_tag: int | None = None,
+    ) -> Any:
+        """Combined send+receive (deadlock-free under eager sends)."""
+        return coop.drive(self.co_sendrecv(payload, dest, recv_source, send_tag, recv_tag))
+
     def co_sendrecv(
         self,
         payload: Any,
@@ -215,6 +204,10 @@ class Comm:
         self._check_send_args(dest, send_tag)
         self._post_envelope(self._world(dest), payload, send_tag)
         return (yield from self.co_recv(recv_source, recv_tag))
+
+    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status:
+        """Blocking probe: wait until a matching message is queued."""
+        return coop.drive(self.co_probe(source, tag))
 
     def co_probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         while True:
@@ -236,29 +229,6 @@ class Comm:
         desc = RecvDescriptor(self._world(source), tag, self.context)
         self.proc.mailbox.post(desc)
         return RecvRequest(self, desc)
-
-    def sendrecv(
-        self,
-        payload: Any,
-        dest: int,
-        recv_source: int,
-        send_tag: int = 0,
-        recv_tag: int | None = None,
-    ) -> Any:
-        """Combined send+receive (deadlock-free under eager sends)."""
-        if recv_tag is None:
-            recv_tag = send_tag
-        self._check_send_args(dest, send_tag)
-        self._post_envelope(self._world(dest), payload, send_tag)
-        return self.recv(recv_source, recv_tag)
-
-    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status:
-        """Blocking probe: wait until a matching message is queued."""
-        while True:
-            env = self.proc.mailbox.probe(self._world(source), tag, self.context)
-            if env is not None:
-                return Status(source=self._local(env.source), tag=env.tag, nbytes=env.nbytes)
-            self._yield_point()
 
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Optional[Status]:
         """Nonblocking probe; None if no matching message is queued."""
@@ -297,16 +267,10 @@ class Comm:
         return base
 
     def coll_send(self, dest: int, payload: Any, tag: int) -> None:
-        self._post_envelope(self._world(dest), payload, tag)
-        self._yield_point()
+        coop.drive(self.co_coll_send(dest, payload, tag))
 
     def coll_recv(self, source: int, tag: int) -> Any:
-        desc = RecvDescriptor(self._world(source), tag, self.context)
-        self.proc.mailbox.post(desc)
-        if desc.matched is None:
-            self._block_on_recv(desc)
-        self._clock.charge(self._clock.cost.step)
-        return desc.matched.payload
+        return coop.drive(self.co_coll_recv(source, tag))
 
     def co_coll_send(self, dest: int, payload: Any, tag: int):
         self._post_envelope(self._world(dest), payload, tag)
@@ -317,8 +281,7 @@ class Comm:
         self.proc.mailbox.post(desc)
         if desc.matched is None:
             # Note the asymmetry with co_recv_envelope: an already-matched
-            # collective receive is not a scheduling point (parity with the
-            # synchronous path above).
+            # collective receive is not a scheduling point.
             yield from self.sim.scheduler.co_block_on_recv(self.proc, desc)
         self._clock.charge(self._clock.cost.step)
         return desc.matched.payload

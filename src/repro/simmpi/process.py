@@ -1,17 +1,16 @@
 """Simulated rank processes.
 
-Each rank runs its application function on a dedicated Python thread, but the
-scheduler guarantees **exactly one** rank thread executes at any moment
-(baton-passing over per-process events — each ``Proc`` owns its private
-``run_gate``, so a handoff wakes exactly one thread).  This gives every rank
-a real Python call stack — which the precompiler's checkpoint runtime walks
-with ``sys._getframe`` — while keeping execution fully deterministic.
+Each rank runs its application function as a resumable generator, its
+``task``, and the scheduler resumes **exactly one** rank at any moment,
+which keeps execution fully deterministic.  A plain synchronous main runs
+on a helper thread behind the :func:`~repro.simmpi.coop.pump` task, so it
+keeps a real Python call stack (which the precompiler's checkpoint
+runtime walks with ``sys._getframe``) under the same one-at-a-time rule.
 """
 
 from __future__ import annotations
 
 import enum
-import threading
 from bisect import bisect_left, insort
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
@@ -22,7 +21,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class ProcState(enum.Enum):
-    NEW = "new"            # thread not yet granted its first slice
+    NEW = "new"            # not yet started
     RUNNABLE = "runnable"  # ready to run
     BLOCKED = "blocked"    # waiting on a receive (or explicit wait)
     DONE = "done"          # main returned normally
@@ -54,7 +53,7 @@ class BlockInfo:
 
 
 class Proc:
-    """One simulated rank: thread, mailbox, and scheduling state."""
+    """One simulated rank: task, mailbox, and scheduling state."""
 
     def __init__(self, sim: "Simulator", rank: int, main: Callable[..., Any]) -> None:
         self.sim = sim
@@ -62,17 +61,11 @@ class Proc:
         self.main = main
         self._state = ProcState.NEW
         self.mailbox = Mailbox(rank)
-        #: Private baton gate: set by the scheduler to grant this rank a
-        #: slice, cleared by the rank on wake.  Being per-process, a grant
-        #: wakes exactly this thread (no shared-condition thundering herd).
-        self.run_gate = threading.Event()
-        self.thread: Optional[threading.Thread] = None
-        #: Cooperative core: the rank's resumable generator (None under the
-        #: threaded core — the scheduler dispatches on this being set).
+        #: The rank's resumable generator, set when the simulator starts.
         self.task: Any = None
         #: Per-rank slot for the precompiler's active checkpoint runtime;
-        #: under the coop core all ranks share one OS thread, so the
-        #: historical thread-local cannot distinguish them.
+        #: generator ranks share the scheduler thread, so a thread-local
+        #: cannot distinguish them.
         self.c3_runtime: Any = None
         self.kill_flag = False
         self.block_info: Optional[BlockInfo] = None

@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.errors import SimMPIError
+from repro.simmpi import coop
 from repro.simmpi.mailbox import RecvDescriptor
 from repro.simmpi.status import Status
 
@@ -56,12 +57,11 @@ class SendRequest(Request):
         return True
 
     def wait(self) -> None:
-        # Even an already-complete wait is a scheduling point, matching the
-        # behaviour of a real MPI progress engine.
-        self._comm._yield_point()
-        return None
+        coop.drive(self.co_wait())
 
     def co_wait(self):
+        # Even an already-complete wait is a scheduling point, matching the
+        # behaviour of a real MPI progress engine.
         yield from self._comm.co_yield_point()
         return None
 
@@ -87,11 +87,7 @@ class RecvRequest(Request):
         return self._done
 
     def wait(self) -> Any:
-        self._harvest()
-        while not self._done:
-            self._comm._block_on_recv(self._desc)
-            self._harvest()
-        return self._payload
+        return coop.drive(self.co_wait())
 
     def co_wait(self):
         self._harvest()
@@ -118,11 +114,16 @@ def waitany(requests: list[Request]) -> tuple[int, Any]:
     Polls in index order at each scheduling step, which is deterministic
     under the simulator's cooperative scheduler.
     """
+    return coop.drive(co_waitany(requests))
+
+
+def co_waitany(requests: list[Request]):
+    """Generator form of :func:`waitany`."""
     if not requests:
         raise SimMPIError("waitany on empty request list")
     while True:
         for i, req in enumerate(requests):
             if req.test():
-                return i, req.wait()
+                return i, (yield from req.co_wait())
         # Nothing ready: let the world make progress.
-        requests[0]._comm._yield_point()
+        yield from requests[0]._comm.co_yield_point()

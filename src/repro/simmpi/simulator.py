@@ -1,10 +1,11 @@
 """Top-level simulator: configuration, run loop, failure handling.
 
-:class:`Simulator` executes one *job attempt*: it spawns one thread per rank,
-interleaves them deterministically through the :class:`Scheduler`, moves
-messages through the :class:`Network`, injects stopping faults from a
-:class:`FailureSchedule`, and watches for them with a heartbeat
-:class:`HeartbeatFailureDetector`.
+:class:`Simulator` executes one *job attempt*: it runs each rank as a
+resumable generator (a plain synchronous main behind the
+:func:`~repro.simmpi.coop.pump`), interleaves the ranks deterministically
+through the :class:`Scheduler`, moves messages through the
+:class:`Network`, injects stopping faults from a :class:`FailureSchedule`,
+and watches for them with a heartbeat :class:`HeartbeatFailureDetector`.
 
 A run ends in one of three ways:
 
@@ -20,11 +21,8 @@ A run ends in one of three ways:
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
-
-from types import GeneratorType
 
 from repro.errors import ConfigError, DeadlockError, ProcessKilled, SimMPIError
 from repro.simmpi import coop
@@ -59,12 +57,6 @@ class SimConfig:
     cost_model: CostModel = field(default_factory=CostModel)
     #: Hard cap on scheduling slices — catches livelocks in protocol code.
     max_slices: int = 20_000_000
-    #: Execution core.  ``"threads"`` runs one OS thread per rank (any
-    #: plain ``main(ctx)`` works); ``"coop"`` runs every rank as a
-    #: generator resumed on the scheduler's thread (mains must be
-    #: generator functions or provide ``co_*`` call paths) — same baton
-    #: discipline, bit-identical outcomes, no thread overhead.
-    sim_core: str = "threads"
     #: Opt-in per-rank wall-clock accounting (``SimResult.per_rank_wall``).
     #: Off by default: it costs two ``perf_counter`` reads per scheduling
     #: slice and never feeds deterministic outputs.
@@ -75,10 +67,6 @@ class SimConfig:
             raise ConfigError(f"nprocs must be >= 1, got {self.nprocs}")
         if self.detector_timeout <= 0:
             raise ConfigError("detector_timeout must be positive")
-        if self.sim_core not in ("threads", "coop"):
-            raise ConfigError(
-                f"sim_core must be 'threads' or 'coop', got {self.sim_core!r}"
-            )
 
 
 @dataclass
@@ -132,10 +120,10 @@ class RankContext:
 
     def yield_point(self) -> None:
         """Voluntary scheduling point (lets other ranks run)."""
-        self.sim.scheduler.yield_point(self.proc)
+        coop.drive(self.co_yield_point())
 
     def co_yield_point(self):
-        """Generator twin of :meth:`yield_point` (coop-core mains)."""
+        """Generator form of :meth:`yield_point` (generator mains)."""
         yield from self.sim.scheduler.co_yield_point(self.proc)
 
     def potential_checkpoint(self) -> None:
@@ -144,7 +132,7 @@ class RankContext:
             self.c3.potential_checkpoint()
 
     def co_potential_checkpoint(self):
-        """Generator twin of :meth:`potential_checkpoint`."""
+        """Generator form of :meth:`potential_checkpoint`."""
         if self.c3 is not None:
             co = getattr(self.c3, "co_potential_checkpoint", None)
             if co is not None:
@@ -183,9 +171,7 @@ class Simulator:
             ordering=config.ordering,
         )
         self.network.tracer = tracer
-        #: Mirrored from the config so hot paths (and ``coop.drive``) read
-        #: one attribute; must be set before the scheduler is built.
-        self.sim_core = config.sim_core
+        #: Mirrored from the config; must be set before the scheduler is built.
         self.wall_accounting = config.wall_accounting
         self.scheduler = Scheduler(self, config.seed, config.sched_policy)
         self.detector = HeartbeatFailureDetector(
@@ -230,41 +216,17 @@ class Simulator:
 
     # ------------------------------------------------------------------ #
 
-    def _thread_body(self, proc: Proc) -> None:
-        try:
-            self.scheduler.wait_first_grant(proc)
-            ctx = self._context_factory(self, proc)
-            out = proc.main(ctx)
-            if isinstance(out, GeneratorType):
-                # Generator mains run under either core; here each of its
-                # yields becomes a baton handoff of this rank thread.
-                out = coop.drive(out, ctx.comm)
-            proc.result = out
-            proc.state = ProcState.DONE
-        except ProcessKilled:
-            proc.state = ProcState.DEAD
-        except BaseException as exc:  # noqa: BLE001 - reported to caller
-            proc.error = exc
-            proc.state = ProcState.ERRORED
-        finally:
-            self.scheduler.finish(proc)
-
     def _co_rank_body(self, proc: Proc):
-        """Cooperative twin of :meth:`_thread_body`: the rank as a generator.
+        """The rank as a generator: its ``task``, resumed by ``grant``.
 
-        The scheduler resumes it via ``task.send(None)``; a ``ProcessKilled``
-        raised at any inner scheduling point unwinds the whole generator
-        chain (``finally`` blocks run, as on a killed thread) and is
-        absorbed here, exactly like the threaded body's except clause.
+        A ``ProcessKilled`` raised at any inner scheduling point unwinds
+        the whole chain (``finally`` blocks run; a pumped main's helper
+        thread exits first) and is absorbed here.
         """
         try:
             self.scheduler._check_kill(proc)  # first-grant kill window
             ctx = self._context_factory(self, proc)
-            out = proc.main(ctx)
-            if isinstance(out, GeneratorType):
-                proc.result = yield from out
-            else:
-                proc.result = out
+            proc.result = yield from coop.main_task(proc.main, ctx)
             proc.state = ProcState.DONE
         except ProcessKilled:
             proc.state = ProcState.DEAD
@@ -273,20 +235,9 @@ class Simulator:
             proc.state = ProcState.ERRORED
 
     def _start_ranks(self) -> None:
-        if self.sim_core == "coop":
-            for proc in self.procs:
-                proc.state = ProcState.RUNNABLE
-                proc.task = self._co_rank_body(proc)
-            return
         for proc in self.procs:
             proc.state = ProcState.RUNNABLE
-            proc.thread = threading.Thread(
-                target=self._thread_body,
-                args=(proc,),
-                name=f"rank-{proc.rank}",
-                daemon=True,
-            )
-            proc.thread.start()
+            proc.task = self._co_rank_body(proc)
 
     def _apply_due_failures(self) -> None:
         for event in self.failures.due(self.clock.now):
@@ -365,17 +316,14 @@ class Simulator:
         return min(times) if times else None
 
     def _teardown(self) -> None:
-        """Kill every remaining rank and join all threads."""
+        """Kill every remaining rank and let each unwind."""
         for proc in self.procs:
             if not proc.finished:
                 self.scheduler.request_kill(proc)
-        # Grant each not-yet-finished rank so its thread can unwind.
+        # Grant each not-yet-finished rank so its task can unwind.
         for proc in self.procs:
             while not proc.finished:
                 self.scheduler.grant(proc)
-        for proc in self.procs:
-            if proc.thread is not None:
-                proc.thread.join(timeout=10)
         self.network.drain()
 
     def _handle_new_death(self, proc: Proc) -> None:

@@ -5,8 +5,8 @@ Design constraints, in order:
 1. **Zero cost when off.**  Every layer guards emission on a single
    attribute read (``tr = self.tracer``; ``if tr is not None``).  The
    recorder itself never appears on a hot path unless tracing is armed.
-2. **No locks.**  The simulator's baton-passing scheduler guarantees at
-   most one Proc thread runs at a time, and driver/farm emissions happen
+2. **No locks.**  The simulator's scheduler guarantees at most one rank
+   (and so one thread) runs at a time, and driver/farm emissions happen
    outside simulation, so a plain ``collections.deque`` is safe.
 3. **Bounded when on.**  The default ring keeps the last
    ``DEFAULT_RING_CAPACITY`` events; ``capacity=None`` keeps everything

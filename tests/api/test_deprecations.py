@@ -1,44 +1,15 @@
-"""The top-level deprecation shims must actually warn — and still work."""
+"""The supported entry points run without deprecation warnings."""
 
 import warnings
 
-import pytest
-
 import repro
-from repro.runtime.config import RunConfig, Variant
+from repro.runtime.config import RunConfig
 
 
 def tiny_app(ctx):
     from repro.simmpi import SUM
 
     return ctx.mpi.allreduce(ctx.rank, SUM)
-
-
-class TestRunWithRecoveryShim:
-    def test_emits_deprecation_warning(self):
-        cfg = RunConfig(nprocs=2, checkpoint_interval=None)
-        with pytest.warns(DeprecationWarning, match="Session"):
-            out = repro.run_with_recovery(tiny_app, cfg)
-        assert out.results == [1, 1]
-
-    def test_warning_points_at_caller(self):
-        """stacklevel=2: the warning should blame this file, not repro's."""
-        cfg = RunConfig(nprocs=2, checkpoint_interval=None)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            repro.run_with_recovery(tiny_app, cfg)
-        [warning] = [w for w in caught if w.category is DeprecationWarning]
-        assert warning.filename == __file__
-
-
-class TestRunVariantSuiteShim:
-    def test_emits_deprecation_warning(self):
-        cfg = RunConfig(nprocs=2, checkpoint_interval=None)
-        with pytest.warns(DeprecationWarning, match="sweep"):
-            outcomes = repro.run_variant_suite(
-                tiny_app, cfg, variants=(Variant.UNMODIFIED,)
-            )
-        assert outcomes[Variant.UNMODIFIED].results == [1, 1]
 
 
 class TestModernPathsDoNotWarn:

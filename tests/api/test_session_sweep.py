@@ -365,18 +365,7 @@ class TestRunVariantSuiteSatellites:
         assert "from dataclasses import replace" not in src
 
 
-class TestDeprecationShims:
-    def test_top_level_shims_warn_and_work(self):
-        cfg = RunConfig(**CFG)
-        with pytest.warns(DeprecationWarning):
-            out = repro.run_with_recovery(ring_app, cfg)
-        assert out.results
-        with pytest.warns(DeprecationWarning):
-            outcomes = repro.run_variant_suite(
-                ring_app, cfg, variants=(Variant.PIGGYBACK,)
-            )
-        assert outcomes[Variant.PIGGYBACK].results == out.results
-
+class TestStableReexports:
     def test_stable_reexports(self):
         assert repro.Session is Session
         assert repro.RunConfig is RunConfig

@@ -73,13 +73,6 @@ class TestVariantStacksPinned:
         assert "protocol layer is active" in C3Config.__doc__
         assert "``protocol_enabled=True``" in C3Config.__doc__
 
-    def test_c3_config_method_is_deprecated_but_equivalent(self):
-        run_cfg = RunConfig(nprocs=2, variant=Variant.NO_APP_STATE,
-                            checkpoint_interval=0.5)
-        with pytest.warns(DeprecationWarning, match="stack_spec"):
-            legacy = run_cfg.c3_config()
-        assert legacy == run_cfg.stack_spec().c3_config(run_cfg)
-
     def test_active_stages_per_variant_in_a_live_run(self):
         """End-to-end pin: which stages actually dispatch under each
         variant (stage_calls keys == the declared stack)."""

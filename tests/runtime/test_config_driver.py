@@ -39,11 +39,6 @@ class TestVariantMapping:
                                 checkpoint_interval=0.5))
         assert cfg.save_app_state
 
-    def test_c3_config_shim_warns_and_matches(self):
-        run_cfg = RunConfig(nprocs=2, variant=Variant.FULL, checkpoint_interval=0.5)
-        with pytest.warns(DeprecationWarning, match="stack_spec"):
-            assert run_cfg.c3_config() == derived(run_cfg)
-
     def test_checkpointing_active_flag(self):
         assert RunConfig(nprocs=2, variant=Variant.FULL).checkpointing_active
         assert not RunConfig(nprocs=2, variant=Variant.PIGGYBACK).checkpointing_active
