@@ -7,9 +7,14 @@ processes control traffic.
 
 Wave lifecycle::
 
-    IDLE --initiate()--> COLLECTING_READY --all readyToStopLogging-->
+    IDLE --co_poll()/co_initiate()--> COLLECTING_READY
+         --all readyToStopLogging (co_on_ready)-->
          (send stopLogging to all) COLLECTING_STOPPED
-         --all stoppedLogging--> commit + gc --> IDLE
+         --all stoppedLogging (on_stopped)--> commit + gc --> IDLE
+
+The steps that send control messages are generators: each send goes
+through the one ``send_control`` generator function the initiator is
+built with, so it is a scheduling point of the rank hosting it.
 
 Two safety rules:
 
@@ -24,9 +29,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
-
-from repro.simmpi import coop
+from typing import Any, Callable, Generator, Optional
 
 
 class WavePhase(enum.Enum):
@@ -57,19 +60,15 @@ class Initiator:
         self,
         nprocs: int,
         interval: Optional[float],
-        send_control: Callable[[object, int], None],
+        send_control: Callable[[object, int], Generator[None, None, Any]],
         commit: Callable[[int, float], None],
         now: Callable[[], float],
-        co_send_control: Optional[Callable[[object, int], Any]] = None,
     ) -> None:
         self.nprocs = nprocs
         self.interval = interval
+        #: Generator function sending one control message (the pipeline's
+        #: ``_co_send_control``): each send is a resumable scheduling point.
         self._send_control = send_control
-        #: Generator-function variant of ``send_control`` (the pipeline's
-        #: ``_co_send_control``).  When set, the co_* methods route control
-        #: traffic through it so a send is a resumable scheduling point;
-        #: when absent (unit harnesses), the synchronous callback is used.
-        self._co_send_control = co_send_control
         self._commit = commit
         self._now = now
         self.phase = WavePhase.IDLE
@@ -96,24 +95,13 @@ class Initiator:
         self.awaiting_replay.discard(rank)
 
     # ------------------------------------------------------------------ #
-    # Wave lifecycle.  Each step is written once, as a generator (the
-    # cooperative form); the synchronous entry points run the generator to
-    # completion.  Outside a simulator (unit harnesses with recording
-    # callbacks) the generators never suspend, so the sync wrappers are
-    # exact equivalents of the historical methods.
+    # Wave lifecycle.  The steps that send control traffic are generators
+    # (``co_*``): the checkpoint stage runs them with ``yield from`` from
+    # its progress engine, so every send is a scheduling point.
     # ------------------------------------------------------------------ #
 
-    def _co_send(self, msg: object, dest: int):
-        if self._co_send_control is not None:
-            yield from self._co_send_control(msg, dest)
-        else:
-            self._send_control(msg, dest)
-
-    def poll(self, current_epoch: int) -> None:
-        """Called from the layer's progress engine; may start a wave."""
-        coop.run_inline(self.co_poll(current_epoch))
-
     def co_poll(self, current_epoch: int):
+        """Called from the layer's progress engine; may start a wave."""
         if self.phase is not WavePhase.IDLE or self.awaiting_replay:
             return
         due = (
@@ -124,11 +112,8 @@ class Initiator:
             self.force_initiate = False
             yield from self.co_initiate(current_epoch)
 
-    def initiate(self, current_epoch: int) -> None:
-        """Phase 1: ask every process to checkpoint into ``current_epoch+1``."""
-        coop.run_inline(self.co_initiate(current_epoch))
-
     def co_initiate(self, current_epoch: int):
+        """Phase 1: ask every process to checkpoint into ``current_epoch+1``."""
         from repro.protocol.control import PleaseCheckpoint
 
         self.target_epoch = current_epoch + 1
@@ -138,13 +123,10 @@ class Initiator:
         self._current = WaveStats(epoch=self.target_epoch, initiated_at=self._now())
         msg = PleaseCheckpoint(epoch=self.target_epoch)
         for rank in range(self.nprocs):
-            yield from self._co_send(msg, rank)
-
-    def on_ready(self, rank: int, epoch: int) -> None:
-        """Phase 2→3: collect readyToStopLogging; broadcast stopLogging."""
-        coop.run_inline(self.co_on_ready(rank, epoch))
+            yield from self._send_control(msg, rank)
 
     def co_on_ready(self, rank: int, epoch: int):
+        """Phase 2→3: collect readyToStopLogging; broadcast stopLogging."""
         if epoch != self.target_epoch:
             return  # stale token from an aborted attempt
         self.ready.add(rank)
@@ -156,7 +138,7 @@ class Initiator:
             self.phase = WavePhase.COLLECTING_STOPPED
             msg = StopLogging(epoch=self.target_epoch)
             for r in range(self.nprocs):
-                yield from self._co_send(msg, r)
+                yield from self._send_control(msg, r)
             self._check_commit()
 
     def on_stopped(self, rank: int, epoch: int) -> None:

@@ -21,12 +21,11 @@ single-responsibility stage under :mod:`repro.protocol.stages`:
   ``potentialCheckpoint`` call sites, the ``mySendCount`` /
   ``receivedAll?`` completion mechanism (Section 4.3).
 
-``C3Layer(comm, config, storage)`` keeps its historical constructor: the
-boolean switches of :class:`C3Config` map onto a stage stack
-(``protocol_enabled`` → the full stack, ``piggyback_enabled`` alone → the
-piggyback stage, neither → the empty stack).  The recovery driver builds
-layers from *named* stacks instead — see
-:func:`repro.protocol.stages.registry.variant_stack`.
+``C3Layer(comm, config, storage)`` builds the full stack (V2/V3's six
+stages); pass ``stack=`` for any other composition.  The empty stack is
+the raw pass-through (V0); any other stack must contain V1's five
+protocol stages.  The recovery driver builds layers from *named* stacks
+— see :func:`repro.protocol.stages.registry.variant_stack`.
 
 One deliberate refinement over the paper's prose: the collective logging
 rule exchanges ``(epoch, amLogging)`` rather than ``amLogging`` alone.  A
@@ -49,7 +48,7 @@ from repro.protocol.stages.pipeline import (
     WORLD_HANDLE,
     ProtocolPipeline,
 )
-from repro.protocol.stages.registry import StackSpec, build_stages, stages_for_config
+from repro.protocol.stages.registry import FULL_STACK, StackSpec, build_stages
 from repro.simmpi.comm import Comm
 from repro.statesave.storage import Storage
 
@@ -68,8 +67,7 @@ class C3Layer(ProtocolPipeline):
 
     ``stack`` may name an explicit stage composition (a
     :class:`~repro.protocol.stages.registry.StackSpec` or a sequence of
-    stage names); without one, the stack is derived from ``config``'s
-    legacy boolean switches.
+    stage names); without one, the layer runs the full stack.
     """
 
     def __init__(
@@ -80,11 +78,9 @@ class C3Layer(ProtocolPipeline):
         state_provider: Optional[Callable[[], Any]] = None,
         stack: StackSpec | Sequence[str] | None = None,
     ) -> None:
-        if stack is None:
-            stack = stages_for_config(config)
         super().__init__(
             comm,
-            stages=build_stages(stack, config),
+            stages=build_stages(FULL_STACK if stack is None else stack, config),
             config=config,
             storage=storage,
             state_provider=state_provider,

@@ -41,27 +41,26 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass
 class C3Config:
-    """Behavioural switches for the protocol layer.
+    """Tuning of the protocol layer; the stage stack decides what runs.
 
-    The four benchmark variants of Section 6 map to the stage stacks of
-    :mod:`repro.protocol.stages.registry`:
+    The four benchmark variants of Section 6 are stage stacks of
+    :mod:`repro.protocol.stages.registry`, and this configuration only
+    tunes them:
 
-    * V0 "unmodified"      — no layer at all (the empty stack; raw comm);
-    * V1 "piggyback only"  — the protocol layer is active
-      (``protocol_enabled=True``: piggybacking, classification, logging
-      machinery) but there is no checkpoint stage and
-      ``checkpoint_interval=None``, so no wave is ever initiated — the
+    * V0 "unmodified"      — the empty stack: no piggyback word, no
+      protocol (raw pass-through);
+    * V1 "piggyback"       — the protocol layer is active (piggybacking,
+      classification, logging machinery) but there is no checkpoint stage
+      and ``checkpoint_interval=None``, so no wave is ever initiated — the
       paper's "Using Protocol Layer, No Checkpoints";
-    * V2 "no app state"    — ``protocol_enabled=True, save_app_state=False``;
-    * V3 "full"            — everything on.
+    * V2 "no app state"    — V1 plus the checkpoint stage, with
+      ``save_app_state=False``;
+    * V3 "full"            — V1 plus the checkpoint stage, saving
+      application state.
     """
 
     codec: str = "packed"
     checkpoint_interval: Optional[float] = None
-    protocol_enabled: bool = True
-    #: When False, messages carry no piggyback at all (the paper's
-    #: "Unmodified Program" baseline); implies no protocol either.
-    piggyback_enabled: bool = True
     save_app_state: bool = True
     initiator_rank: int = 0
     #: Deep-copy logged payloads (protects the log from later mutation by

@@ -3,7 +3,7 @@
 Owns everything that makes checkpoints happen (paper Section 4.1):
 
 * the out-of-band control plane on ``TAG_CONTROL`` (drained at every
-  scheduling opportunity via :meth:`progress`);
+  scheduling opportunity via :meth:`co_progress`);
 * the initiator state machine, embedded in the configured rank's stage;
 * ``potentialCheckpoint`` — the local checkpoint at application-chosen
   points, with the epoch-transition bookkeeping of Figure 4;
@@ -20,7 +20,6 @@ from repro.protocol import control as ctl
 from repro.protocol.initiator import Initiator
 from repro.protocol.logs import EpochLogs
 from repro.protocol.stages.base import C3Config, ProtocolStage
-from repro.simmpi import coop
 from repro.simmpi.constants import TAG_CONTROL
 from repro.statesave.format import CheckpointData
 
@@ -40,10 +39,9 @@ class CheckpointStage(ProtocolStage):
             self.initiator = Initiator(
                 nprocs=core.nprocs,
                 interval=self.config.checkpoint_interval,
-                send_control=core._send_control,
+                send_control=core._co_send_control,
                 commit=self._commit,
                 now=core.comm.wtime,
-                co_send_control=core._co_send_control,
             )
         core.initiator = self.initiator
 
@@ -51,19 +49,11 @@ class CheckpointStage(ProtocolStage):
 
     def _commit(self, epoch: int, now: float) -> None:
         core = self.core
-        if core._commit_accepts_nprocs:
-            core.storage.commit(epoch, now, nprocs=core.nprocs)
-        else:
-            # Custom storages implementing the pre-1.2 two-argument commit
-            # keep working; they just forgo validated N->N-1 fallback.
-            core.storage.commit(epoch, now)
+        core.storage.commit(epoch, now, nprocs=core.nprocs)
         core.storage.gc(core.nprocs, keep_epoch=epoch)
 
-    def progress(self) -> None:
-        """Drain and handle queued control messages; poll the initiator."""
-        coop.drive(self.co_progress())
-
     def co_progress(self):
+        """Drain and handle queued control messages; poll the initiator."""
         core = self.core
         while True:
             env = core.comm.take_matching(tag=TAG_CONTROL)
@@ -73,9 +63,6 @@ class CheckpointStage(ProtocolStage):
             yield from self.co_handle_control(env.payload, env.source)
         if self.initiator is not None:
             yield from self.initiator.co_poll(core.state.epoch)
-
-    def handle_control(self, msg: ctl.ControlMessage, source: int) -> None:
-        coop.drive(self.co_handle_control(msg, source))
 
     def co_handle_control(self, msg: ctl.ControlMessage, source: int):
         core = self.core
@@ -120,9 +107,6 @@ class CheckpointStage(ProtocolStage):
 
     # -- receivedAll? / finalizeLog (Figure 4) --------------------------- #
 
-    def received_all_check(self) -> None:
-        coop.drive(self.co_received_all_check())
-
     def co_received_all_check(self):
         core = self.core
         state = core.state
@@ -135,9 +119,6 @@ class CheckpointStage(ProtocolStage):
                 ctl.ReadyToStopLogging(epoch=state.epoch, sender=core.rank),
                 self.config.initiator_rank,
             )
-
-    def finalize_log(self) -> None:
-        coop.drive(self.co_finalize_log())
 
     def co_finalize_log(self):
         core = self.core
@@ -159,16 +140,13 @@ class CheckpointStage(ProtocolStage):
 
     # -- potentialCheckpoint (Figure 4) ---------------------------------- #
 
-    def potential_checkpoint(self) -> bool:
+    def co_potential_checkpoint(self):
         """Take a local checkpoint if one has been requested.
 
         Checkpointing is deferred while a recovery replay is in progress
         (the initiator never starts a wave during replay, so this can only
         trigger in exotic interleavings and is safe to postpone).
         """
-        return coop.drive(self.co_potential_checkpoint())
-
-    def co_potential_checkpoint(self):
         core = self.core
         if core.replay is not None:
             return False
@@ -176,9 +154,6 @@ class CheckpointStage(ProtocolStage):
             return False
         yield from self.co_take_local_checkpoint()
         return True
-
-    def take_local_checkpoint(self) -> None:
-        coop.drive(self.co_take_local_checkpoint())
 
     def co_take_local_checkpoint(self):
         core = self.core

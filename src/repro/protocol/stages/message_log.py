@@ -23,16 +23,12 @@ from repro.protocol.classify import MessageClass
 from repro.protocol.logs import LateRecord, MatchRecord
 from repro.protocol.piggyback import PiggybackInfo
 from repro.protocol.stages.base import ProtocolStage
-from repro.simmpi import coop
 
 
 class MessageLogStage(ProtocolStage):
     """Record one classified message into the epoch's logs and counters."""
 
     name = "message-log"
-
-    def on_message(self, env, info: PiggybackInfo, mclass: MessageClass) -> None:
-        coop.drive(self.co_on_message(env, info, mclass))
 
     def co_on_message(self, env, info: PiggybackInfo, mclass: MessageClass):
         core = self.core

@@ -10,11 +10,11 @@ is decided purely by which stages are present:
 * the **empty stack** is the paper's V0 "Unmodified Program": every call
   is a raw pass-through over the underlying communicator — the same code
   path :class:`repro.api.comms.RawCommAdapter` exposes;
-* a stack with the ``piggyback`` stage alone attaches/strips the wire
-  word but runs no protocol (the legacy piggyback-only configuration);
-* a stack with the protocol stages (``classifier``/``message-log``/
-  ``result-log``/``replay``) runs the full Figure-4 event handler; adding
-  ``checkpoint`` enables waves — the paper's V2/V3.
+* any other stack contains the five protocol stages (``piggyback``/
+  ``classifier``/``message-log``/``result-log``/``replay``, V1's stack)
+  and runs the full Figure-4 event handler; adding ``checkpoint``
+  enables waves — the paper's V2/V3.  Extra observer stages may ride
+  along in any non-empty stack.
 
 Per-stage dispatch is counted and timed into
 ``LayerStats.stage_calls`` / ``stage_seconds``, giving the per-stage
@@ -24,7 +24,6 @@ overhead accounting the flat layer could not.
 from __future__ import annotations
 
 import copy
-import inspect
 from time import perf_counter
 from typing import Any, Callable, Optional, Sequence
 
@@ -35,13 +34,14 @@ from repro.protocol.mpi_state import HandleRegistry, MpiStateLog
 from repro.protocol.piggyback import get_codec
 from repro.protocol.pseudo_handles import PseudoHandle, RequestTable
 from repro.protocol.stages.base import C3Config, LayerStats, ProtocolStage
+from repro.protocol.stages.registry import PROTOCOL_STAGES
 from repro.protocol.state import ProtocolState
 from repro.simmpi import collectives_impl as coll_impl
 from repro.simmpi import coop
 from repro.simmpi.comm import Comm
 from repro.simmpi.constants import ANY_SOURCE, ANY_TAG, TAG_CONTROL
 from repro.simmpi.op import Op
-from repro.simmpi.request import Request
+from repro.simmpi.request import RecvRequest
 from repro.statesave.format import CheckpointData
 
 #: Base of the tag region used by pipeline-level collective instances.  Raw
@@ -55,29 +55,6 @@ RESTORE_BASE = -1_000_000_000
 
 #: Pseudo-handle id denoting the world communicator.
 WORLD_HANDLE = -1
-
-#: Stage-presence requirements: a stack naming the key must also name the
-#: values (e.g. classification is meaningless without the piggyback word).
-_STAGE_REQUIRES = {
-    "classifier": ("piggyback", "message-log"),
-    "checkpoint": ("classifier", "result-log", "replay"),
-}
-
-
-def _accepts_nprocs(commit: Callable[..., Any]) -> bool:
-    """Whether a storage's ``commit`` takes the (1.2+) ``nprocs`` keyword.
-
-    Decided once by signature inspection — a runtime TypeError fallback
-    would mask genuine TypeErrors raised inside a modern commit.
-    """
-    try:
-        params = inspect.signature(commit).parameters
-    except (TypeError, ValueError):  # builtins/uninspectable: assume modern
-        return True
-    return "nprocs" in params or any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
-    )
-
 
 class RawHandle:
     """Opaque handle over a raw communicator or op (the V0 analogue of a
@@ -130,9 +107,6 @@ class ProtocolPipeline:
         #: Per-communicator collective call sequence (world = WORLD_HANDLE).
         self.coll_seqs: dict[int, int] = {WORLD_HANDLE: 0}
         self.stats = LayerStats()
-        self._commit_accepts_nprocs = (
-            _accepts_nprocs(storage.commit) if storage is not None else True
-        )
         #: Set by the checkpoint stage at bind time (initiator rank only).
         self.initiator = None
         #: Per-generation storage manifests for this rank's checkpoints,
@@ -151,13 +125,14 @@ class ProtocolPipeline:
             if stage.name in by_name:
                 raise ConfigError(f"duplicate stage {stage.name!r} in stack")
             by_name[stage.name] = stage
-        for name, needs in _STAGE_REQUIRES.items():
-            if name in by_name:
-                missing = [n for n in needs if n not in by_name]
-                if missing:
-                    raise ConfigError(
-                        f"stage {name!r} requires stages {missing} in the stack"
-                    )
+        # The empty stack is V0; every other stack runs the full protocol
+        # (the paper has no build that piggybacks without it).
+        missing = [n for n in PROTOCOL_STAGES if n not in by_name] if by_name else []
+        if missing:
+            raise ConfigError(
+                f"stack {[s.name for s in self.stages]} requires stages {missing}: "
+                "a non-empty stack runs the full protocol"
+            )
         self.stage_by_name = by_name
         self.pb = by_name.get("piggyback")
         self.clf = by_name.get("classifier")
@@ -166,7 +141,6 @@ class ProtocolPipeline:
         self.rep = by_name.get("replay")
         self.ckpt = by_name.get("checkpoint")
         self._raw = not self.stages
-        self._protocol = self.clf is not None
         if self.ckpt is not None and storage is None:
             raise ConfigError("a checkpoint stage requires a storage")
         self.stats.stage_calls = {s.name: 0 for s in self.stages}
@@ -197,52 +171,20 @@ class ProtocolPipeline:
     # generator whose yields are the scheduling points; the synchronous
     # method of the same name just drives that generator with
     # ``coop.drive`` (a yield parks the pumped helper thread of a
-    # synchronous main).  ``_co_call`` routes an underlying-communicator
-    # operation through its generator form when one exists and falls back
-    # to the plain method for comm doubles that only implement the
-    # synchronous surface (such stand-ins never suspend, so the generators
-    # complete on first resume).
+    # synchronous main).  The underlying communicator is always a
+    # :class:`~repro.simmpi.comm.Comm`, so its ``co_*`` forms are called
+    # directly.
     # ------------------------------------------------------------------ #
-
-    def _co_call(self, target: Any, name: str, *args: Any, **kwargs: Any):
-        co = getattr(target, "co_" + name, None)
-        if co is None:
-            return getattr(target, name)(*args, **kwargs)
-        return (yield from co(*args, **kwargs))
-
-    def _co_recv_envelope(self, source: int, tag: int, predicate: Any = None):
-        # ``predicate`` is only forwarded when set so doubles implementing
-        # the plain two-argument recv_envelope keep working.
-        if predicate is None:
-            return (yield from self._co_call(self.comm, "recv_envelope", source, tag))
-        return (
-            yield from self._co_call(
-                self.comm, "recv_envelope", source, tag, predicate=predicate
-            )
-        )
-
-    def _co_yield_point(self):
-        # A comm double without ``co_yield_point`` has no scheduler to
-        # yield to.
-        co = getattr(self.comm, "co_yield_point", None)
-        if co is not None:
-            yield from co()
 
     # ------------------------------------------------------------------ #
     # Control plane (shared by the checkpoint and replay stages).
     # ------------------------------------------------------------------ #
 
-    def _send_control(self, msg: ctl.ControlMessage, dest: int) -> None:
-        coop.drive(self._co_send_control(msg, dest))
-
     def _co_send_control(self, msg: ctl.ControlMessage, dest: int):
         if dest == self.rank:
             yield from self._co_handle_control(msg, self.rank)
         else:
-            yield from self._co_call(self.comm, "send", msg, dest, tag=TAG_CONTROL)
-
-    def _handle_control(self, msg: ctl.ControlMessage, source: int) -> None:
-        coop.drive(self._co_handle_control(msg, source))
+            yield from self.comm.co_send(msg, dest, TAG_CONTROL)
 
     def _co_handle_control(self, msg: ctl.ControlMessage, source: int):
         if self.ckpt is None:
@@ -252,40 +194,21 @@ class ProtocolPipeline:
             )
         yield from self.ckpt.co_handle_control(msg, source)
 
-    def _progress(self) -> None:
-        """Drain control traffic and poll the initiator (checkpoint stage)."""
-        coop.drive(self._co_progress())
-
     def _co_progress(self):
+        """Drain control traffic and poll the initiator (checkpoint stage)."""
         if self.ckpt is None:
             return
         t0 = perf_counter()
         yield from self.ckpt.co_progress()
         self._charge("checkpoint", t0)
 
-    def _finalize_log(self) -> None:
-        if self.ckpt is not None:
-            self.ckpt.finalize_log()
-
     def _co_finalize_log(self):
         if self.ckpt is not None:
             yield from self.ckpt.co_finalize_log()
 
-    def _received_all_check(self) -> None:
-        if self.ckpt is not None:
-            self.ckpt.received_all_check()
-
     def _co_received_all_check(self):
         if self.ckpt is not None:
             yield from self.ckpt.co_received_all_check()
-
-    def _maybe_end_replay(self) -> None:
-        if self.rep is not None:
-            self.rep.maybe_end_replay()
-
-    def _co_maybe_end_replay(self):
-        if self.rep is not None:
-            yield from self.rep.co_maybe_end_replay()
 
     # ------------------------------------------------------------------ #
     # Raw-mode helpers (empty stack — the V0 pass-through).
@@ -316,7 +239,7 @@ class ProtocolPipeline:
     def co_send(self, payload: Any, dest: int, tag: int = 0):
         if self._raw:
             self.stats.sends += 1
-            yield from self._co_call(self.comm, "send", payload, dest, tag)
+            yield from self.comm.co_send(payload, dest, tag)
             return
         yield from self._co_progress()
         self.stats.sends += 1
@@ -324,20 +247,9 @@ class ProtocolPipeline:
             t0 = perf_counter()
             stage.on_send(payload, dest, tag)
             self._charge(stage.name, t0)
-        if not self._protocol:
-            if self.pb is None:
-                yield from self._co_call(self.comm, "send", payload, dest, tag)
-                return
-            t0 = perf_counter()
-            wire = self.pb.blank()
-            self._charge("piggyback", t0)
-            yield from self._co_call(
-                self.comm, "send", payload, dest, tag, piggyback=wire
-            )
-            return
         message_id = self.state.note_send(dest)
         tr = self.tracer
-        if self.rep is not None and self.rep.is_suppressed(dest, message_id):
+        if self.rep.is_suppressed(dest, message_id):
             # Early-message resend suppression (Section 4.2 question 3):
             # the receiver's checkpoint already contains this message, so it
             # must not be re-posted; bookkeeping still advances so that
@@ -357,7 +269,7 @@ class ProtocolPipeline:
         t0 = perf_counter()
         wire = self.pb.encode(self.state.epoch, self.state.am_logging, message_id)
         self._charge("piggyback", t0)
-        yield from self._co_call(self.comm, "send", payload, dest, tag, piggyback=wire)
+        yield from self.comm.co_send(payload, dest, tag, wire)
 
     def isend(self, payload: Any, dest: int, tag: int = 0) -> Any:
         """Nonblocking send; returns a pseudo-request (Section 5.2) on a
@@ -377,18 +289,9 @@ class ProtocolPipeline:
             stage.on_send(payload, dest, tag)
             self._charge(stage.name, t0)
         req = self.requests.new("isend", dest=dest, tag=tag)
-        if not self._protocol:
-            if self.pb is None:
-                self.comm.isend(payload, dest, tag)
-                return req
-            t0 = perf_counter()
-            wire = self.pb.blank()
-            self._charge("piggyback", t0)
-            self.comm.isend(payload, dest, tag, piggyback=wire)
-            return req
         message_id = self.state.note_send(dest)
         tr = self.tracer
-        if self.rep is not None and self.rep.is_suppressed(dest, message_id):
+        if self.rep.is_suppressed(dest, message_id):
             self.stats.suppressed_sends += 1
             if tr is not None:
                 tr.emit(
@@ -418,24 +321,12 @@ class ProtocolPipeline:
     def co_recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         if self._raw:
             self.stats.receives += 1
-            return (yield from self._co_call(self.comm, "recv", source, tag))
+            return (yield from self.comm.co_recv(source, tag))
         yield from self._co_progress()
         self.stats.receives += 1
-        if not self._protocol:
-            env = yield from self._co_recv_envelope(source, tag)
-            if self.pb is not None and env.piggyback is not None:
-                # Piggyback-only variant still pays the decode cost.
-                t0 = perf_counter()
-                self.pb.decode(env)
-                self._charge("piggyback", t0)
-            for stage in self._recv_observers:
-                t0 = perf_counter()
-                stage.on_receive(env)
-                self._charge(stage.name, t0)
-            return env.payload
         if self.replay is not None and not self.replay.matches.exhausted:
             return (yield from self._co_replay_recv())
-        env = yield from self._co_recv_envelope(source, tag)
+        env = yield from self.comm.co_recv_envelope(source, tag)
         return (yield from self._co_classify_and_deliver(env))
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
@@ -448,7 +339,7 @@ class ProtocolPipeline:
             return self.comm.irecv(source, tag)
         yield from self._co_progress()
         req = self.requests.new("irecv", source=source, tag=tag)
-        if self._protocol and self.replay is not None:
+        if self.replay is not None:
             # During replay, completion is resolved through the match log at
             # wait time; posting a raw receive could steal messages that the
             # replay engine must route by messageID.
@@ -462,9 +353,11 @@ class ProtocolPipeline:
 
     def co_wait(self, req: Any):
         if self._raw:
-            if isinstance(req, Request) and not req.completed and hasattr(req, "_desc"):
+            # Every completed receive counts once, at its wait, as on the
+            # staged stacks (even when a test() already completed it).
+            if isinstance(req, RecvRequest):
                 self.stats.receives += 1
-            return (yield from self._co_call(req, "wait"))
+            return (yield from req.co_wait())
         yield from self._co_progress()
         if req.consumed:
             raise ProtocolError("wait() on an already-completed pseudo-request")
@@ -473,7 +366,7 @@ class ProtocolPipeline:
             # request completes immediately — the message is in the
             # receiver's checkpoint or its late-message log.
             self.requests.retire(req)
-            yield from self._co_yield_point()
+            yield from self.comm.co_yield_point()
             return None
         # irecv:
         if req.has_payload:
@@ -484,41 +377,41 @@ class ProtocolPipeline:
             # Restored-unmatched or replay-posted: resolve like a fresh recv
             # (paper rule: match the late log, else re-post the receive).
             self.stats.receives += 1
-            if (
-                self._protocol
-                and self.replay is not None
-                and not self.replay.matches.exhausted
-            ):
+            if self.replay is not None and not self.replay.matches.exhausted:
                 payload = yield from self._co_replay_recv()
             else:
-                env = yield from self._co_recv_envelope(req.source, req.tag)
+                env = yield from self.comm.co_recv_envelope(req.source, req.tag)
                 payload = yield from self._co_classify_and_deliver(env)
             self.requests.retire(req)
             return payload
         self.stats.receives += 1
-        yield from self._co_call(req._live, "wait")
+        yield from req._live.co_wait()
         env = req._live._desc.matched
         self.requests.retire(req)
-        if not self._protocol:
-            return env.payload
         return (yield from self._co_classify_and_deliver(env))
 
     def test(self, req: Any) -> bool:
-        """Nonblocking completion check for a pseudo-request."""
+        """Completion check for a pseudo-request (raw request on the empty
+        stack); an incomplete check is a scheduling point."""
         return coop.drive(self.co_test(req))
 
     def co_test(self, req: Any):
         if self._raw:
-            return req.test()
-        yield from self._co_progress()
-        if req.kind == "isend":
-            return True
-        if req.has_payload:
-            return True
-        if req._live is None:
-            # Replay-resolved requests are only completed by wait().
-            return self.replay is not None and not self.replay.matches.exhausted
-        return req._live.test()
+            done = req.test()
+        else:
+            yield from self._co_progress()
+            if req.kind == "isend" or req.has_payload:
+                return True
+            if req._live is None:
+                # Replay-resolved requests are only completed by wait().
+                done = self.replay is not None and not self.replay.matches.exhausted
+            else:
+                done = req._live.test()
+        if not done:
+            # An incomplete test is a scheduling point (as in waitany), so
+            # a ``while not test(req)`` polling loop lets the sender run.
+            yield from self.comm.co_yield_point()
+        return done
 
     def sendrecv(
         self,
@@ -545,8 +438,8 @@ class ProtocolPipeline:
             self.stats.sends += 1
             self.stats.receives += 1
             return (
-                yield from self._co_call(
-                    self.comm, "sendrecv", payload, dest, recv_source, send_tag, recv_tag
+                yield from self.comm.co_sendrecv(
+                    payload, dest, recv_source, send_tag, recv_tag
                 )
             )
         if recv_tag is None:
@@ -606,17 +499,13 @@ class ProtocolPipeline:
         if self._raw:
             return compute()
         yield from self._co_progress()
-        if (
-            self._protocol
-            and self.replay is not None
-            and not self.replay.nondet.exhausted
-        ):
+        if self.replay is not None and not self.replay.nondet.exhausted:
             t0 = perf_counter()
             value = yield from self.rep.co_serve_nondet()
             self._charge("replay", t0)
             return value
         value = compute()
-        if self._protocol and self.state.am_logging:
+        if self.state.am_logging:
             t0 = perf_counter()
             self.res_log.record_nondet(value)
             self._charge("result-log", t0)
@@ -661,10 +550,6 @@ class ProtocolPipeline:
         yield from self._co_progress()
         self.stats.collectives += 1
         handle_id = comm.handle_id if comm is not None else WORLD_HANDLE
-        if not self._protocol:
-            ep = self._coll_endpoint(handle_id, 1)
-            self._advance_coll_seq(handle_id)
-            return (yield from executor(ep))
         if (
             loggable
             and self.replay is not None
@@ -674,7 +559,7 @@ class ProtocolPipeline:
             result = self.rep.serve_collective(kind)
             self._charge("replay", t0)
             self._advance_coll_seq(handle_id)
-            yield from self._co_maybe_end_replay()
+            yield from self.rep.co_maybe_end_replay()
             return result
         # Command exchange before the data call (paper: "each data
         # MPI_Allgather is preceded by a command MPI_Allgather which sends
@@ -712,7 +597,7 @@ class ProtocolPipeline:
     def co_bcast(self, obj: Any, root: int = 0, comm: Any = None):
         if self._raw:
             self.stats.collectives += 1
-            return (yield from self._co_call(self._resolve(comm), "bcast", obj, root))
+            return (yield from self._resolve(comm).co_bcast(obj, root))
         return (
             yield from self._co_collective(
                 "bcast", lambda ep: coll_impl.co_bcast(ep, obj, root), comm
@@ -725,9 +610,7 @@ class ProtocolPipeline:
     def co_reduce(self, obj: Any, op: Op, root: int = 0, comm: Any = None):
         if self._raw:
             self.stats.collectives += 1
-            return (
-                yield from self._co_call(self._resolve(comm), "reduce", obj, op, root)
-            )
+            return (yield from self._resolve(comm).co_reduce(obj, op, root))
         return (
             yield from self._co_collective(
                 "reduce", lambda ep: coll_impl.co_reduce(ep, obj, op, root), comm
@@ -740,9 +623,7 @@ class ProtocolPipeline:
     def co_allreduce(self, obj: Any, op: Op, comm: Any = None):
         if self._raw:
             self.stats.collectives += 1
-            return (
-                yield from self._co_call(self._resolve(comm), "allreduce", obj, op)
-            )
+            return (yield from self._resolve(comm).co_allreduce(obj, op))
         return (
             yield from self._co_collective(
                 "allreduce", lambda ep: coll_impl.co_allreduce(ep, obj, op), comm
@@ -755,7 +636,7 @@ class ProtocolPipeline:
     def co_gather(self, obj: Any, root: int = 0, comm: Any = None):
         if self._raw:
             self.stats.collectives += 1
-            return (yield from self._co_call(self._resolve(comm), "gather", obj, root))
+            return (yield from self._resolve(comm).co_gather(obj, root))
         return (
             yield from self._co_collective(
                 "gather", lambda ep: coll_impl.co_gather(ep, obj, root), comm
@@ -768,7 +649,7 @@ class ProtocolPipeline:
     def co_allgather(self, obj: Any, comm: Any = None):
         if self._raw:
             self.stats.collectives += 1
-            return (yield from self._co_call(self._resolve(comm), "allgather", obj))
+            return (yield from self._resolve(comm).co_allgather(obj))
         return (
             yield from self._co_collective(
                 "allgather", lambda ep: coll_impl.co_allgather(ep, obj), comm
@@ -781,9 +662,7 @@ class ProtocolPipeline:
     def co_scatter(self, objs: list[Any] | None, root: int = 0, comm: Any = None):
         if self._raw:
             self.stats.collectives += 1
-            return (
-                yield from self._co_call(self._resolve(comm), "scatter", objs, root)
-            )
+            return (yield from self._resolve(comm).co_scatter(objs, root))
         return (
             yield from self._co_collective(
                 "scatter", lambda ep: coll_impl.co_scatter(ep, objs, root), comm
@@ -796,7 +675,7 @@ class ProtocolPipeline:
     def co_alltoall(self, objs: list[Any], comm: Any = None):
         if self._raw:
             self.stats.collectives += 1
-            return (yield from self._co_call(self._resolve(comm), "alltoall", objs))
+            return (yield from self._resolve(comm).co_alltoall(objs))
         return (
             yield from self._co_collective(
                 "alltoall", lambda ep: coll_impl.co_alltoall(ep, objs), comm
@@ -809,7 +688,7 @@ class ProtocolPipeline:
     def co_scan(self, obj: Any, op: Op, comm: Any = None):
         if self._raw:
             self.stats.collectives += 1
-            return (yield from self._co_call(self._resolve(comm), "scan", obj, op))
+            return (yield from self._resolve(comm).co_scan(obj, op))
         return (
             yield from self._co_collective(
                 "scan", lambda ep: coll_impl.co_scan(ep, obj, op), comm
@@ -829,11 +708,11 @@ class ProtocolPipeline:
     def co_barrier(self, comm: Any = None):
         if self._raw:
             self.stats.collectives += 1
-            yield from self._co_call(self._resolve(comm), "barrier")
+            yield from self._resolve(comm).co_barrier()
             return
         yield from self._co_progress()
         handle_id = comm.handle_id if comm is not None else WORLD_HANDLE
-        if self._protocol and self.replay is None:
+        if self.replay is None:
             ctl_ep = self._coll_endpoint(handle_id, 0)
             epochs = yield from coll_impl.co_allgather(ctl_ep, self.state.epoch)
             if self.state.epoch < max(epochs) and self.ckpt is not None:
@@ -847,7 +726,7 @@ class ProtocolPipeline:
                 yield from self.ckpt.co_take_local_checkpoint()
                 self._charge("checkpoint", t0)
             self._advance_coll_seq(handle_id)
-        elif self._protocol:
+        else:
             # Re-executed barrier during replay: alignment already held in
             # the original execution (all participants were in this epoch),
             # but the exchange itself must re-run so tags stay aligned.
@@ -946,7 +825,7 @@ class ProtocolPipeline:
 
     def co_comm_split(self, color: int, key: int | None = None, parent: Any = None):
         if self._raw:
-            child = yield from self._co_call(self._resolve(parent), "split", color, key)
+            child = yield from self._resolve(parent).co_split(color, key)
             if child is None:
                 return None
             return self._new_handle("comm", child)
@@ -957,7 +836,7 @@ class ProtocolPipeline:
             if replayed:
                 return handle
         parent_id = parent.handle_id if parent is not None else WORLD_HANDLE
-        raw_child = yield from self._co_call(self._raw_comm(parent_id), "split", color, key)
+        raw_child = yield from self._raw_comm(parent_id).co_split(color, key)
         if raw_child is None:
             # Participation is still recorded: the split must be re-executed
             # collectively on restore even by ranks that got no child.
@@ -1020,10 +899,10 @@ class ProtocolPipeline:
             yield  # pragma: no cover -- marks this function as a generator
 
         def comm_split(parent_id: int, color: int, key: int | None):
-            return (yield from self._co_call(self._raw_comm(parent_id), "split", color, key))
+            return (yield from self._raw_comm(parent_id).co_split(color, key))
 
         def comm_split_undefined(parent_id: int, key: int | None):
-            yield from self._co_call(self._raw_comm(parent_id), "split", None, key)
+            yield from self._raw_comm(parent_id).co_split(None, key)
             return None
 
         def op_create(name: str):
@@ -1117,7 +996,7 @@ class ProtocolPipeline:
                 "proto", "restore", rank=self.rank, epoch=self.state.epoch,
                 late=len(logs.late), matches=len(logs.matches),
             )
-        yield from self._co_maybe_end_replay()
+        yield from self.rep.co_maybe_end_replay()
 
     @property
     def in_replay(self) -> bool:
@@ -1152,24 +1031,11 @@ class _LayerCollEndpoint:
         self._used = True
         return self._base
 
-    def coll_send(self, dest: int, payload: Any, tag: int) -> None:
-        self._raw.coll_send(dest, payload, tag)
-
-    def coll_recv(self, source: int, tag: int) -> Any:
-        return self._raw.coll_recv(source, tag)
-
-    # Generator forms; fall back to the synchronous
-    # surface for comm doubles, which never suspend.
+    # The raw generators are returned, not delegated to, so a collective
+    # round's ``yield from`` chain gains no frame.
 
     def co_coll_send(self, dest: int, payload: Any, tag: int):
-        co = getattr(self._raw, "co_coll_send", None)
-        if co is None:
-            self._raw.coll_send(dest, payload, tag)
-        else:
-            yield from co(dest, payload, tag)
+        return self._raw.co_coll_send(dest, payload, tag)
 
     def co_coll_recv(self, source: int, tag: int):
-        co = getattr(self._raw, "co_coll_recv", None)
-        if co is None:
-            return self._raw.coll_recv(source, tag)
-        return (yield from co(source, tag))
+        return self._raw.co_coll_recv(source, tag)

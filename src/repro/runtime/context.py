@@ -143,21 +143,13 @@ class C3AppContext:
     # -- generator forms ------------------------------------------------ #
     #
     # Used by generator application mains and by the precompiler's
-    # cooperative code objects; CommLike implementations without a co_*
-    # surface (hand-written doubles) are called synchronously, which is
-    # correct because such stand-ins never suspend.
+    # cooperative code objects.
 
     def co_potential_checkpoint(self):
-        co = getattr(self.mpi, "co_potential_checkpoint", None)
-        if co is None:
-            return self.mpi.potential_checkpoint()
-        return (yield from co())
+        return (yield from self.mpi.co_potential_checkpoint())
 
     def co_nondet(self, compute: Callable[[], Any]):
-        co = getattr(self.mpi, "co_nondet", None)
-        if co is None:
-            return self.mpi.nondet(compute)
-        return (yield from co(compute))
+        return (yield from self.mpi.co_nondet(compute))
 
     def co_random(self):
         return (yield from self.co_nondet(self._rank_ctx.rng.random))

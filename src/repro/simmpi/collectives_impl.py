@@ -27,22 +27,19 @@ network's ``random`` ordering mode.
 
 Each algorithm exists once, as a ``co_*`` generator whose sends/receives
 are ``yield from`` calls on the endpoint's ``co_coll_send``/``co_coll_recv``
-— the simulator suspends the whole rank there.  The synchronous entry
-points (``bcast(ep, ...)`` etc.) wrap the endpoint in :class:`_SyncView`,
-whose ``co_*`` methods call the endpoint's plain ``coll_send``/
-``coll_recv`` and never yield, then run the algorithm with
-:func:`~repro.simmpi.coop.run_inline` — on a real communicator the
-blocking happens inside ``coll_recv`` (a ``coop.drive`` bridge that parks
-a pumped rank's helper thread), and test endpoints need only implement
-the sync interface.
+— the simulator suspends the whole rank there.  An endpoint needs only
+those two generators plus its rank, size and tag blocks.  The synchronous
+entry points (``bcast(ep, ...)`` etc.) run the same generator with
+:func:`~repro.simmpi.coop.drive`, which parks a pumped rank's helper
+thread at every suspension.
 """
 
 from __future__ import annotations
 
-from typing import Any, Protocol
+from typing import Any, Generator, Protocol
 
 from repro.errors import SimMPIError
-from repro.simmpi.coop import run_inline
+from repro.simmpi import coop
 from repro.simmpi.op import Op, reduce_sequence
 
 #: Rounds per collective instance reserved in the tag space.
@@ -66,46 +63,15 @@ class P2PEndpoint(Protocol):
         """Reserve and return the base tag for one collective instance."""
         ...
 
-    def coll_send(self, dest: int, payload: Any, tag: int) -> None:
+    def co_coll_send(
+        self, dest: int, payload: Any, tag: int
+    ) -> Generator[None, None, None]:
         """Group-local-rank addressed send."""
         ...
 
-    def coll_recv(self, source: int, tag: int) -> Any:
+    def co_coll_recv(self, source: int, tag: int) -> Generator[None, None, Any]:
         """Group-local-rank addressed blocking receive."""
         ...
-
-
-class _SyncView:
-    """Adapter presenting a synchronous endpoint through the ``co_*`` shape.
-
-    Its generators complete without yielding, so an algorithm driven over
-    it runs inline — the endpoint's own ``coll_recv`` does any blocking.
-    """
-
-    __slots__ = ("_ep",)
-
-    def __init__(self, ep: P2PEndpoint) -> None:
-        self._ep = ep
-
-    @property
-    def coll_rank(self) -> int:
-        return self._ep.coll_rank
-
-    @property
-    def coll_size(self) -> int:
-        return self._ep.coll_size
-
-    def coll_next_tag_block(self) -> int:
-        return self._ep.coll_next_tag_block()
-
-    def co_coll_send(self, dest: int, payload: Any, tag: int):
-        self._ep.coll_send(dest, payload, tag)
-        return
-        yield  # pragma: no cover - generator marker, unreachable
-
-    def co_coll_recv(self, source: int, tag: int):
-        return self._ep.coll_recv(source, tag)
-        yield  # pragma: no cover - generator marker, unreachable
 
 
 def _round_tag(base: int, rnd: int) -> int:
@@ -145,7 +111,7 @@ def co_bcast(ep, obj: Any, root: int = 0):
 
 
 def bcast(ep: P2PEndpoint, obj: Any, root: int = 0) -> Any:
-    return run_inline(co_bcast(_SyncView(ep), obj, root))
+    return coop.drive(co_bcast(ep, obj, root))
 
 
 def co_reduce(ep, obj: Any, op: Op, root: int = 0):
@@ -171,7 +137,7 @@ def co_reduce(ep, obj: Any, op: Op, root: int = 0):
 
 
 def reduce(ep: P2PEndpoint, obj: Any, op: Op, root: int = 0) -> Any:
-    return run_inline(co_reduce(_SyncView(ep), obj, op, root))
+    return coop.drive(co_reduce(ep, obj, op, root))
 
 
 def co_allreduce(ep, obj: Any, op: Op):
@@ -226,7 +192,7 @@ def co_allreduce(ep, obj: Any, op: Op):
 
 
 def allreduce(ep: P2PEndpoint, obj: Any, op: Op) -> Any:
-    return run_inline(co_allreduce(_SyncView(ep), obj, op))
+    return coop.drive(co_allreduce(ep, obj, op))
 
 
 def co_gather(ep, obj: Any, root: int = 0):
@@ -245,7 +211,7 @@ def co_gather(ep, obj: Any, root: int = 0):
 
 
 def gather(ep: P2PEndpoint, obj: Any, root: int = 0) -> list[Any] | None:
-    return run_inline(co_gather(_SyncView(ep), obj, root))
+    return coop.drive(co_gather(ep, obj, root))
 
 
 def co_allgather(ep, obj: Any):
@@ -293,7 +259,7 @@ def co_allgather(ep, obj: Any):
 
 
 def allgather(ep: P2PEndpoint, obj: Any) -> list[Any]:
-    return run_inline(co_allgather(_SyncView(ep), obj))
+    return coop.drive(co_allgather(ep, obj))
 
 
 def co_scatter(ep, objs: list[Any] | None, root: int = 0):
@@ -313,7 +279,7 @@ def co_scatter(ep, objs: list[Any] | None, root: int = 0):
 
 
 def scatter(ep: P2PEndpoint, objs: list[Any] | None, root: int = 0) -> Any:
-    return run_inline(co_scatter(_SyncView(ep), objs, root))
+    return coop.drive(co_scatter(ep, objs, root))
 
 
 def co_alltoall(ep, objs: list[Any]):
@@ -349,7 +315,7 @@ def co_alltoall(ep, objs: list[Any]):
 
 
 def alltoall(ep: P2PEndpoint, objs: list[Any]) -> list[Any]:
-    return run_inline(co_alltoall(_SyncView(ep), objs))
+    return coop.drive(co_alltoall(ep, objs))
 
 
 def co_barrier(ep):
@@ -370,7 +336,7 @@ def co_barrier(ep):
 
 
 def barrier(ep: P2PEndpoint) -> None:
-    run_inline(co_barrier(_SyncView(ep)))
+    coop.drive(co_barrier(ep))
 
 
 def co_scan(ep, obj: Any, op: Op):
@@ -387,4 +353,4 @@ def co_scan(ep, obj: Any, op: Op):
 
 
 def scan(ep: P2PEndpoint, obj: Any, op: Op) -> Any:
-    return run_inline(co_scan(_SyncView(ep), obj, op))
+    return coop.drive(co_scan(ep, obj, op))

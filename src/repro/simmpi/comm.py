@@ -266,12 +266,6 @@ class Comm:
         self._coll_seq += 1
         return base
 
-    def coll_send(self, dest: int, payload: Any, tag: int) -> None:
-        coop.drive(self.co_coll_send(dest, payload, tag))
-
-    def coll_recv(self, source: int, tag: int) -> Any:
-        return coop.drive(self.co_coll_recv(source, tag))
-
     def co_coll_send(self, dest: int, payload: Any, tag: int):
         self._post_envelope(self._world(dest), payload, tag)
         yield from self.sim.scheduler.co_yield_point(self.proc)
@@ -362,18 +356,12 @@ class Comm:
         Returns None for ``color is None`` (the MPI_UNDEFINED analogue).
         Uses an allgather to agree on membership.
         """
-        if key is None:
-            key = self.rank
-        triples = self.allgather((color, key, self.rank))
-        return self._split_from_triples(triples, color)
+        return coop.drive(self.co_split(color, key))
 
     def co_split(self, color: int, key: int | None = None):
         if key is None:
             key = self.rank
         triples = yield from self.co_allgather((color, key, self.rank))
-        return self._split_from_triples(triples, color)
-
-    def _split_from_triples(self, triples: list[Any], color: int) -> Optional["Comm"]:
         child_seq = self._child_seq
         self._child_seq += 1
         if color is None:

@@ -17,9 +17,9 @@ and every kill check, trace emission and clock charge happens in the
 same order as for a generator main.  The helper gives each sync rank a
 real Python stack, which ``sys._getframe``-based state capture walks.
 
-:func:`run_inline` runs a generator that is *known* never to suspend
-(e.g. collective algorithms over a fake in-test endpoint); it completes
-in one step or raises.
+:func:`drive` is the one bridge from synchronous code to a ``co_*``
+generator: every synchronous MPI entry point (communicator, collective,
+protocol pipeline) is a ``coop.drive(co_…)`` one-liner.
 
 The thread-local **current proc** registry names the rank executing on
 the calling thread: ``Scheduler.grant`` sets it on the scheduler thread
@@ -152,14 +152,3 @@ def main_task(main: Callable[..., Any], ctx: Any) -> Generator[None, None, Any]:
         return main(ctx)
     return pump(main, ctx)
 
-
-def run_inline(gen: Generator[None, None, Any]) -> Any:
-    """Complete a generator that must not suspend (sync collective path)."""
-    try:
-        gen.send(None)
-    except StopIteration as stop:
-        return stop.value
-    gen.close()
-    raise SimMPIError(
-        "collective algorithm suspended on a synchronous endpoint"
-    )

@@ -134,10 +134,7 @@ class RankContext:
     def co_potential_checkpoint(self):
         """Generator form of :meth:`potential_checkpoint`."""
         if self.c3 is not None:
-            co = getattr(self.c3, "co_potential_checkpoint", None)
-            if co is not None:
-                return (yield from co())
-            return self.c3.potential_checkpoint()
+            return (yield from self.c3.co_potential_checkpoint())
         return None
 
 

@@ -92,30 +92,6 @@ class TestWaveCompletion:
         assert not storage.store.has_generation("rank0/state", committed - 1)
 
 
-class TestLegacyStorageCompat:
-    def test_two_argument_commit_still_supported(self):
-        """Custom storages implementing the pre-1.2 ``commit(epoch, vt)``
-        signature must keep working under the layer's commit path."""
-
-        class LegacyStorage(Storage):
-            def commit(self, epoch, virtual_time):  # no nprocs kwarg
-                return super().commit(epoch, virtual_time)
-
-        storage = LegacyStorage()
-
-        def main(ctx):
-            layer = wire(ctx, storage, interval=0.001)
-            for i in range(60):
-                layer.send(i, (ctx.rank + 1) % ctx.size, tag=1)
-                layer.recv(source=(ctx.rank - 1) % ctx.size, tag=1)
-                layer.potential_checkpoint()
-            return layer.state.epoch
-
-        result = run_simple(main, nprocs=2, seed=1)
-        assert result.completed
-        assert storage.committed_epoch() is not None
-
-
 class TestLoggingBehaviour:
     def test_logging_starts_at_checkpoint_and_stops(self):
         storage = Storage()
@@ -207,9 +183,8 @@ class TestVariantConfigs:
         storage = Storage()
 
         def main(ctx):
-            cfg = C3Config(protocol_enabled=False, piggyback_enabled=False,
-                           save_app_state=False)
-            layer = C3Layer(ctx.comm, cfg, storage)
+            cfg = C3Config(save_app_state=False)
+            layer = C3Layer(ctx.comm, cfg, storage, stack=())
             layer.send("x", 1 - ctx.rank, tag=1)
             return layer.recv(source=1 - ctx.rank, tag=1)
 

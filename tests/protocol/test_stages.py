@@ -25,7 +25,6 @@ from repro.protocol.stages import (
     build_stages,
     list_stacks,
     list_stages,
-    stages_for_config,
 )
 from repro.runtime import RunConfig, Variant, run_with_recovery
 from repro.simmpi import SUM, run_simple
@@ -63,15 +62,14 @@ class TestVariantStacksPinned:
             assert RunConfig(nprocs=2, variant=variant).stack_spec().name == name
 
     def test_v1_c3_config_agrees_with_docstring(self):
-        """Code and docs now agree: V1 has the protocol *enabled* and the
-        checkpoint interval forced to None."""
-        cfg = variant_stack("V1").c3_config(RunConfig(nprocs=2, checkpoint_interval=0.5))
-        assert cfg.protocol_enabled
-        assert cfg.piggyback_enabled
+        """Code and docs agree: V1 runs the protocol stages, has no
+        checkpoint stage, and its checkpoint interval is forced to None."""
+        spec = variant_stack("V1")
+        cfg = spec.c3_config(RunConfig(nprocs=2, checkpoint_interval=0.5))
+        assert spec.stages == PROTOCOL_STAGES
         assert cfg.checkpoint_interval is None
         assert not cfg.save_app_state
         assert "protocol layer is active" in C3Config.__doc__
-        assert "``protocol_enabled=True``" in C3Config.__doc__
 
     def test_active_stages_per_variant_in_a_live_run(self):
         """End-to-end pin: which stages actually dispatch under each
@@ -128,18 +126,12 @@ class TestRegistries:
             with pytest.raises(ConfigError, match="requires stages"):
                 C3Layer(ctx.comm, cfg, storage,
                         stack=PROTOCOL_STAGES[:1] + ("checkpoint",))
+            # No piggyback-only mode: the wire word needs the protocol.
+            with pytest.raises(ConfigError, match="requires stages"):
+                C3Layer(ctx.comm, cfg, storage, stack=("piggyback",))
             return True
 
         assert run_simple(main, nprocs=1, seed=0).results == [True]
-
-    def test_legacy_flag_derivation(self):
-        assert stages_for_config(C3Config(protocol_enabled=True)) == FULL_STACK
-        assert stages_for_config(
-            C3Config(protocol_enabled=False, piggyback_enabled=True)
-        ) == ("piggyback",)
-        assert stages_for_config(
-            C3Config(protocol_enabled=False, piggyback_enabled=False)
-        ) == ()
 
 
 class TestPerStageObservability:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
+from repro.protocol.stages import FULL_STACK, PROTOCOL_STAGES
 from repro.runtime import RunConfig, Variant, run_with_recovery
 from repro.runtime.driver import run_variant_suite
 from repro.simmpi import SUM, FailureSchedule
@@ -16,28 +17,33 @@ def derived(run_cfg):
 
 class TestVariantMapping:
     def test_unmodified(self):
-        cfg = derived(RunConfig(nprocs=2, variant=Variant.UNMODIFIED))
-        assert not cfg.protocol_enabled
-        assert not cfg.piggyback_enabled
+        run_cfg = RunConfig(nprocs=2, variant=Variant.UNMODIFIED)
+        cfg = derived(run_cfg)
+        assert run_cfg.stack_spec().stages == ()
         assert cfg.checkpoint_interval is None
+        assert not cfg.save_app_state
 
     def test_piggyback(self):
-        cfg = derived(RunConfig(nprocs=2, variant=Variant.PIGGYBACK))
-        assert cfg.protocol_enabled
-        assert cfg.piggyback_enabled
+        run_cfg = RunConfig(nprocs=2, variant=Variant.PIGGYBACK)
+        cfg = derived(run_cfg)
+        assert run_cfg.stack_spec().stages == PROTOCOL_STAGES
         assert cfg.checkpoint_interval is None
+        assert not cfg.save_app_state
 
     def test_no_app_state(self):
-        cfg = derived(RunConfig(nprocs=2, variant=Variant.NO_APP_STATE,
-                                checkpoint_interval=0.5))
-        assert cfg.protocol_enabled
+        run_cfg = RunConfig(nprocs=2, variant=Variant.NO_APP_STATE,
+                            checkpoint_interval=0.5)
+        cfg = derived(run_cfg)
+        assert run_cfg.stack_spec().stages == FULL_STACK
         assert not cfg.save_app_state
         assert cfg.checkpoint_interval == 0.5
 
     def test_full(self):
-        cfg = derived(RunConfig(nprocs=2, variant=Variant.FULL,
-                                checkpoint_interval=0.5))
+        run_cfg = RunConfig(nprocs=2, variant=Variant.FULL, checkpoint_interval=0.5)
+        cfg = derived(run_cfg)
+        assert run_cfg.stack_spec().stages == FULL_STACK
         assert cfg.save_app_state
+        assert cfg.checkpoint_interval == 0.5
 
     def test_checkpointing_active_flag(self):
         assert RunConfig(nprocs=2, variant=Variant.FULL).checkpointing_active
