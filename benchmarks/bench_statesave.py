@@ -9,13 +9,15 @@ The second half measures the tiered storage engine (:mod:`repro.ckpt`):
 full pickle snapshots versus incremental (content-addressed delta) versus
 incremental+compressed generations, on synthetic evolving state and on the
 paper's Laplace and dense-CG applications, with bytes written reported per
-generation.
+generation, and the engine's per-commit garbage collection across many
+streams.
 """
 
 import numpy as np
 import pytest
 
 from repro.apps.workloads import SCALED_CKPT_CHUNK_SIZE, SCALED_CKPT_CODEC
+from repro.ckpt import CheckpointStore, CountingBackend, MemoryBackend, RetentionPolicy
 from repro.runtime.config import RunConfig
 from repro.runtime.driver import run_with_recovery
 from repro.statesave.format import CheckpointData
@@ -135,8 +137,9 @@ def test_engine_write_cost(benchmark, strategy):
         storage.write_state(0, step, evolving_state(step))
 
     benchmark(run)
+    saves = storage.store.history
     benchmark.extra_info["bytes_per_generation"] = (
-        storage.bytes_written // max(1, len(storage.store.history))
+        sum(record.stored_bytes for record in saves) // max(1, len(saves))
     )
 
 
@@ -157,10 +160,10 @@ def test_engine_bytes_full_vs_incremental_vs_compressed():
 def _per_generation_state_bytes(storage: Storage) -> dict[int, int]:
     """Bytes written per checkpoint generation, summed over ranks."""
     per_gen: dict[int, int] = {}
-    for manifest in storage.store.history:
-        if manifest.stream.endswith("/state"):
-            per_gen[manifest.generation] = (
-                per_gen.get(manifest.generation, 0) + manifest.stored_bytes
+    for record in storage.store.history:
+        if record.stream.endswith("/state"):
+            per_gen[record.generation] = (
+                per_gen.get(record.generation, 0) + record.stored_bytes
             )
     return dict(sorted(per_gen.items()))
 
@@ -225,3 +228,56 @@ def test_dense_cg_constant_matrix_dedupes():
     # Later generations write less than the first (which had no prior
     # generation to dedupe against).
     assert sum(per_gen[g] for g in later) / len(later) < per_gen[first]
+
+
+# --------------------------------------------------------------------- #
+# Experiment C-CKPT: per-commit garbage collection across many streams.
+# --------------------------------------------------------------------- #
+
+GC_STREAMS = 16
+GC_WAVES = 20
+
+
+def _gc_store() -> tuple[CheckpointStore, CountingBackend]:
+    backend = CountingBackend(MemoryBackend())
+    store = CheckpointStore(
+        backend, codec=SCALED_CKPT_CODEC, chunk_size=ENGINE_CHUNK,
+        retention=RetentionPolicy(keep_last=1),
+    )
+    return store, backend
+
+
+def _commit_wave(store: CheckpointStore, step: int) -> None:
+    for rank in range(GC_STREAMS):
+        store.save(f"rank{rank}/state", step, evolving_state(step, 16_384, 1_024))
+
+
+def test_engine_gc_cost(benchmark):
+    """Retention GC after every commit wave must cost what it removes, not
+    what the store holds: no key listing and no manifest re-reads, while
+    every retained generation still loads.  The timed part is one
+    collect of a superseded wave across all streams."""
+    benchmark.group = "ckpt-engine-gc"
+    store, backend = _gc_store()
+    for step in range(1, GC_WAVES + 1):
+        _commit_wave(store, step)
+        backend.reset()
+        assert store.collect(pinned=step) == (GC_STREAMS if step > 1 else 0)
+        assert backend.calls["keys"] == 0
+        assert not [key for key in backend.gets if key.startswith("manifests/")]
+    for rank in range(GC_STREAMS):
+        stream = f"rank{rank}/state"
+        assert store.generations(stream) == [GC_WAVES]
+        assert store.load(stream, GC_WAVES).app_state["vectors"][0] == GC_WAVES
+    assert store.sweep_orphans() == 0  # collect left nothing behind
+
+    def two_waves():
+        fresh, _backend = _gc_store()
+        _commit_wave(fresh, 1)
+        _commit_wave(fresh, 2)
+        return (fresh,), {}
+
+    removed = benchmark.pedantic(
+        lambda fresh: fresh.collect(pinned=2), setup=two_waves, rounds=5
+    )
+    assert removed == GC_STREAMS

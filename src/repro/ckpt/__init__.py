@@ -25,6 +25,7 @@ surfaced as the ``ckpt_*`` fields of :class:`repro.runtime.config.RunConfig`.
 
 from repro.ckpt.backends import (
     Backend,
+    CountingBackend,
     DirectoryBackend,
     MemoryBackend,
     list_backends,
@@ -50,6 +51,7 @@ __all__ = [
     "CheckpointStore",
     "ChunkCodec",
     "ChunkRef",
+    "CountingBackend",
     "DEFAULT_CHUNK_SIZE",
     "DeltaStats",
     "DirectoryBackend",

@@ -16,6 +16,7 @@ studies) via :func:`register_backend`.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from typing import Callable, Protocol
 
 from repro.errors import ConfigError, StorageError
@@ -106,8 +107,8 @@ class DirectoryBackend:
             os.unlink(path)
 
     def keys(self, prefix: str = "") -> list[str]:
-        # Walk only the subtree the prefix names: gc runs keys() many times
-        # per commit and must not re-scan the whole store each time.
+        # Walk only the subtree the prefix names: listing one region (the
+        # chunks, for an orphan sweep) must not walk the others.
         prefix_dir, _sep, _leaf = prefix.rpartition("/")
         start = os.path.join(self.root, *prefix_dir.split("/")) if prefix_dir else self.root
         if not os.path.isdir(start):
@@ -127,6 +128,54 @@ class DirectoryBackend:
         for dirpath, _dirs, files in os.walk(self.root):
             for name in files:
                 os.unlink(os.path.join(dirpath, name))
+
+
+class CountingBackend:
+    """Wraps another backend and counts the calls made to it.
+
+    Instrumentation for asserting *how* the store uses its backend (e.g.
+    that per-commit GC never lists keys or re-reads manifests), not for
+    timing: ``calls`` maps method name to call count, and ``gets`` holds
+    every key read, in order.
+    """
+
+    def __init__(self, inner: Backend) -> None:
+        self.inner = inner
+        self.calls: Counter[str] = Counter()
+        self.gets: list[str] = []
+
+    def reset(self) -> None:
+        self.calls.clear()
+        self.gets.clear()
+
+    def put(self, key: str, data: bytes) -> None:
+        self.calls["put"] += 1
+        self.inner.put(key, data)
+
+    def get(self, key: str) -> bytes:
+        self.calls["get"] += 1
+        self.gets.append(key)
+        return self.inner.get(key)
+
+    def exists(self, key: str) -> bool:
+        self.calls["exists"] += 1
+        return self.inner.exists(key)
+
+    def size(self, key: str) -> int:
+        self.calls["size"] += 1
+        return self.inner.size(key)
+
+    def delete(self, key: str) -> None:
+        self.calls["delete"] += 1
+        self.inner.delete(key)
+
+    def keys(self, prefix: str = "") -> list[str]:
+        self.calls["keys"] += 1
+        return self.inner.keys(prefix)
+
+    def wipe(self) -> None:
+        self.calls["wipe"] += 1
+        self.inner.wipe()
 
 
 _REGISTRY: dict[str, Callable[..., Backend]] = {

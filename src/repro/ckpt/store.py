@@ -17,22 +17,41 @@ indexed by epoch.  Saving a generation is a two-phase commit:
 
 A crash anywhere in phase 1, or before phase 2's rename, leaves at most
 orphaned chunks: the previous generation's manifest — and therefore the
-previous generation — is untouched.  Per-commit GC (:meth:`collect`)
-sweeps only the chunks of the generations it deletes; chunks orphaned by
-torn writes are reclaimed by the full :meth:`sweep_orphans`, run off the
-hot path (the recovery driver calls it after a failed attempt).
+previous generation — is untouched.
 
-Incremental mode consults the backend before writing each chunk: a chunk
-whose content address already exists (from any generation of any stream)
-costs zero bytes.  Compression happens per chunk, after dedup, so the
-codec never disturbs content addressing.
+Garbage collection runs off an in-memory *reference index*: the chunk
+keys of every live generation, and a reference count per chunk key.  The
+index is built from the backend once, on first use (so a store reopened
+over a directory sees what an earlier store left), and from then on is
+kept current by every operation that publishes or removes a manifest.
+Per-commit GC (:meth:`collect`) therefore never lists the backend and
+never re-reads a manifest: deleting a generation drops its references,
+and a chunk is deleted the moment its count reaches zero, so the cost is
+O(chunks of the removed generations).  Chunks orphaned by torn writes
+never gained a reference; the full :meth:`sweep_orphans`, run off the hot
+path (the recovery driver calls it after a failed attempt), lists the
+chunk region and reclaims them.
+
+The index makes the store the **sole writer** of its backend: publishing
+or deleting manifests or chunks behind the store's back is not seen by
+its GC.  Damage underneath the store is handled conservatively — a
+generation whose manifest blob has since become unreadable still keeps
+its chunks alive until the generation itself is deleted.  (When the index
+is first built, an already-unreadable manifest can name no chunks and
+protects none.)
+
+Incremental mode skips every chunk whose content address already exists
+(from any generation of any stream, or left by a torn write): it costs
+zero bytes.  Compression happens per chunk, after dedup, so the codec
+never disturbs content addressing.
 """
 
 from __future__ import annotations
 
 import pickle
-from dataclasses import replace
-from typing import Any, Callable, Optional
+from collections import Counter
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Optional, Sequence
 
 from repro.ckpt.backends import Backend
 from repro.ckpt.codecs import ChunkCodec, get_chunk_codec
@@ -47,6 +66,18 @@ STAGE_CHUNK = "chunk"
 STAGE_MANIFEST = "manifest"
 
 ProgressHook = Callable[[str, int, int], None]
+
+
+@dataclass(frozen=True)
+class SaveRecord:
+    """What one :meth:`CheckpointStore.save` published: its manifest's
+    bookkeeping without the chunk list."""
+
+    stream: str
+    generation: int
+    payload_length: int
+    stored_bytes: int
+    reused_chunks: int
 
 
 class CheckpointStore:
@@ -73,15 +104,27 @@ class CheckpointStore:
         self.chunks_written = 0
         self.chunks_reused = 0
         self.generations_saved = 0
-        #: Every manifest this store instance has written, in save order —
+        #: One record per save this store instance made, in save order —
         #: the bytes-per-generation record benchmarks report from.  (GC
         #: removes generations from the backend, not from this history.)
-        self.history: list[GenerationManifest] = []
+        self.history: list[SaveRecord] = []
         #: Bumped whenever published data may have changed underneath a
         #: reader (deletes, GC, tampering helpers); validation caches use
         #: it as their invalidation stamp.
         self.mutations = 0
         self._decoders: dict[str, ChunkCodec] = {self.codec.name: self.codec}
+        self._chunk_prefix = f"objects/{self.codec.name}/"
+        #: The reference index (see the module docstring): stream ->
+        #: generation -> chunk keys its manifest names.  None until first
+        #: use, when :meth:`_index` builds it from the backend.
+        self._live: Optional[dict[str, dict[int, tuple[str, ...]]]] = None
+        #: Live references per chunk key (a generation naming one chunk
+        #: twice holds two); a key is present iff its count is positive.
+        self._refs: Counter[str] = Counter()
+        #: Stored (encoded) size of every chunk known to be in the backend
+        #: (every referenced chunk, and any this store wrote since), so a
+        #: save that dedupes against one need not ask the backend.
+        self._stored_sizes: dict[str, int] = {}
         #: Optional :class:`repro.trace.TraceRecorder`; armed per run by the
         #: recovery driver (via the ``Storage`` facade).  Emission sites
         #: guard on this being None, so tracing off costs one attribute read.
@@ -136,19 +179,14 @@ class CheckpointStore:
         byte-level rerun determinism and content-addressed result caches.
         """
         payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-        # Overwrite awareness: a recovery attempt that re-takes an epoch's
-        # checkpoint republishes (stream, generation).  Remember the old
-        # manifest so the chunks only it referenced can be reclaimed after
-        # the new one is published — otherwise every post-failure rewrite
-        # strands the previous write's chunks as permanent orphans.
-        old_manifest = None
-        if self.backend.exists(self._manifest_key(stream, generation)):
-            try:
-                old_manifest = self.read_manifest(stream, generation, verify=False)
-            except StorageError:
-                old_manifest = None  # a torn/corrupt predecessor references nothing
+        self._index()  # built before this save's manifest is published
+        stored_sizes = self._stored_sizes
+        backend = self.backend
+        incremental = self.incremental
+        prefix = self._chunk_prefix
         chunks = split_chunks(payload, self.chunk_size)
         stats = DeltaStats(chunks_total=len(chunks), bytes_logical=len(payload))
+        keys: list[str] = []
         refs: list[ChunkRef] = []
         for index, chunk in enumerate(chunks):
             if progress is not None:
@@ -156,16 +194,23 @@ class CheckpointStore:
                 # raising at index k leaves exactly k chunks persisted.
                 progress(STAGE_CHUNK, index, len(chunks))
             digest = chunk_digest(chunk)
-            key = self._chunk_key(digest, self.codec.name)
-            if self.incremental and self.backend.exists(key):
+            # Inlined _chunk_key: this loop runs once per chunk of every save.
+            key = f"{prefix}{digest[:2]}/{digest}"
+            stored = stored_sizes.get(key) if incremental else None
+            if stored is None and incremental and backend.exists(key):
+                # An orphan this store did not write (e.g. a torn write
+                # by an earlier store over the same backend).
+                stored = stored_sizes[key] = backend.size(key)
+            if stored is not None:
                 stats.chunks_reused += 1
-                refs.append(ChunkRef(digest, len(chunk), self.backend.size(key)))
             else:
-                encoded = self.codec.encode(chunk)
-                self.backend.put(key, encoded)
+                encoded = self.codec.encode(bytes(chunk))
+                backend.put(key, encoded)
+                stored = stored_sizes[key] = len(encoded)
                 stats.chunks_written += 1
-                stats.bytes_stored += len(encoded)
-                refs.append(ChunkRef(digest, len(chunk), len(encoded)))
+                stats.bytes_stored += stored
+            keys.append(key)
+            refs.append(ChunkRef(digest, len(chunk), stored))
         manifest = GenerationManifest(
             stream=stream,
             generation=generation,
@@ -180,26 +225,24 @@ class CheckpointStore:
         if progress is not None:
             progress(STAGE_MANIFEST, 0, 1)
         blob = dumps_framed(manifest)
-        self.backend.put(self._manifest_key(stream, generation), blob)
+        backend.put(self._manifest_key(stream, generation), blob)
         self.bytes_written += stats.bytes_stored + len(blob)
         self.logical_bytes += len(payload)
         self.chunks_written += stats.chunks_written
         self.chunks_reused += stats.chunks_reused
         self.generations_saved += 1
-        self.history.append(manifest)
-        if old_manifest is not None:
-            # Only chunks the rewrite actually replaced are candidates; in
-            # the common recovery case (same state re-taken, chunks dedupe)
-            # this set is empty and the full reference scan is skipped —
-            # keeping the write path on the targeted-GC cost model.
-            candidates = {
-                self._chunk_key(ref.digest, old_manifest.codec)
-                for ref in old_manifest.chunks
-            } - {self._chunk_key(ref.digest, manifest.codec) for ref in refs}
-            if candidates:
-                referenced = self._referenced_chunk_keys()
-                for key in candidates - referenced:
-                    self.backend.delete(key)
+        self.history.append(
+            SaveRecord(
+                stream, generation, len(payload), stats.bytes_stored, stats.chunks_reused
+            )
+        )
+        # Reference the new chunks before releasing a replaced manifest's:
+        # a recovery attempt that re-takes an epoch's checkpoint republishes
+        # (stream, generation), and only the chunks the rewrite no longer
+        # names may be reclaimed.
+        replaced = self._reference(stream, generation, keys)
+        if replaced is not None:
+            self._release(replaced)
             # Published bytes changed underneath any cached validation.
             self.mutations += 1
         tr = self.tracer
@@ -262,24 +305,13 @@ class CheckpointStore:
         return manifest
 
     def has_generation(self, stream: str, generation: int) -> bool:
-        return self.backend.exists(self._manifest_key(stream, generation))
+        return generation in self._index().get(stream, ())
 
     def generations(self, stream: str) -> list[int]:
-        prefix = f"manifests/{stream}/gen"
-        out = []
-        for key in self.backend.keys(prefix):
-            tail = key[len(prefix):]
-            if tail.endswith(".mft"):
-                out.append(int(tail[: -len(".mft")]))
-        return sorted(out)
+        return sorted(self._index().get(stream, ()))
 
     def streams(self) -> list[str]:
-        seen = set()
-        for key in self.backend.keys("manifests/"):
-            stream, _sep, _leaf = key[len("manifests/"):].rpartition("/")
-            if stream:
-                seen.add(stream)
-        return sorted(seen)
+        return sorted(self._index())
 
     def validate_generation(self, stream: str, generation: int) -> bool:
         """True iff the generation's manifest checks out and every chunk
@@ -309,7 +341,14 @@ class CheckpointStore:
         self.mutations += 1
 
     def delete_generation(self, stream: str, generation: int) -> None:
+        """Unpublish one generation and reclaim every chunk that no other
+        live generation references."""
         self.backend.delete(self._manifest_key(stream, generation))
+        gens = self._index().get(stream)
+        if gens is not None and generation in gens:
+            self._release(gens.pop(generation))
+            if not gens:
+                del self._live[stream]
         self.mutations += 1
 
     # ------------------------------------------------------------------ #
@@ -336,78 +375,112 @@ class CheckpointStore:
         pinned: Optional[int] = None,
         retention: Optional[RetentionPolicy] = None,
     ) -> int:
-        """Apply retention to every stream, then sweep the chunks the
-        deleted generations referenced.
+        """Apply retention to every stream, deleting the generations it
+        does not keep together with the chunks only they referenced.
 
-        The sweep is *targeted*: only chunks named by the just-deleted
-        manifests are checked against the live reference set, so per-wave
-        GC cost scales with what was removed, not with store size.  Chunks
-        orphaned without ever gaining a manifest (torn writes) are instead
-        reclaimed by :meth:`sweep_orphans`, which the recovery driver runs
-        off the hot path after a failed attempt.
+        Reads nothing but the reference index: no backend listing, no
+        manifest re-reads, so per-commit GC costs O(chunks of the removed
+        generations), not O(store).  Chunks orphaned without ever gaining
+        a manifest (torn writes) hold no reference and are left to
+        :meth:`sweep_orphans`, which the recovery driver runs off the hot
+        path after a failed attempt.
 
         Returns the number of generation manifests removed (reclaimed
         chunks are not counted: they are storage internals, not
         checkpoint objects).
         """
         policy = retention or self.retention
+        live = self._index()
         removed = 0
-        candidates: set[str] = set()
-        for stream in self.streams():
-            gens = self.generations(stream)
-            live = policy.live(gens, pinned=pinned)
+        for stream in sorted(live):
+            gens = sorted(live[stream])
+            keep = policy.live(gens, pinned=pinned)
             for generation in gens:
-                if generation not in live:
-                    try:
-                        dead = self.read_manifest(stream, generation, verify=False)
-                        candidates.update(
-                            self._chunk_key(ref.digest, dead.codec)
-                            for ref in dead.chunks
-                        )
-                    except StorageError:
-                        pass  # unreadable manifest references nothing
+                if generation not in keep:
                     self.delete_generation(stream, generation)
                     removed += 1
-        if candidates:
-            referenced = self._referenced_chunk_keys()
-            for key in candidates - referenced:
-                self.backend.delete(key)
         tr = self.tracer
         if tr is not None and removed:
             tr.emit("store", "gc", removed=removed, pinned=pinned)
         return removed
 
     def sweep_orphans(self) -> int:
-        """Full mark-and-sweep: delete every chunk no manifest references.
+        """Full sweep: delete every chunk no live generation references.
 
-        O(entire store); meant for off-hot-path moments — after a failed
-        attempt (reclaiming a torn write's chunks) or administratively.
+        Lists the whole chunk region, so O(entire store); meant for
+        off-hot-path moments — after a failed attempt (reclaiming a torn
+        write's chunks) or administratively.  The reference set is the
+        index, not a re-read of every manifest.
         """
-        referenced = self._referenced_chunk_keys()
+        self._index()
+        referenced = self._refs
         swept = 0
         for key in self.backend.keys("objects/"):
             if key not in referenced:
                 self.backend.delete(key)
+                self._stored_sizes.pop(key, None)
                 swept += 1
         tr = self.tracer
         if tr is not None and swept:
             tr.emit("store", "sweep_orphans", swept=swept)
         return swept
 
-    def _referenced_chunk_keys(self) -> set[str]:
-        referenced: set[str] = set()
-        for stream in self.streams():
-            for generation in self.generations(stream):
+    def wipe(self) -> None:
+        self.backend.wipe()
+        self._live = {}
+        self._refs.clear()
+        self._stored_sizes.clear()
+        self.mutations += 1
+
+    # ------------------------------------------------------------------ #
+    # The reference index.
+    # ------------------------------------------------------------------ #
+
+    def _index(self) -> dict[str, dict[int, tuple[str, ...]]]:
+        """The live generations' chunk keys, built from the backend once."""
+        if self._live is None:
+            self._live = {}
+            for key in self.backend.keys("manifests/"):
+                stream, _sep, leaf = key[len("manifests/"):].rpartition("/")
+                if not (stream and leaf.startswith("gen") and leaf.endswith(".mft")):
+                    continue
+                generation = int(leaf[len("gen"):-len(".mft")])
                 try:
                     manifest = self.read_manifest(stream, generation, verify=False)
                 except StorageError:
-                    continue  # unreadable manifest references nothing
-                referenced.update(
-                    self._chunk_key(ref.digest, manifest.codec)
-                    for ref in manifest.chunks
+                    # Unreadable before the index existed: its chunks cannot
+                    # be named, so it protects none (sweep_orphans may take
+                    # them).  It is still a generation retention can delete.
+                    self._live.setdefault(stream, {})[generation] = ()
+                    continue
+                keys = [
+                    self._chunk_key(ref.digest, manifest.codec) for ref in manifest.chunks
+                ]
+                self._stored_sizes.update(
+                    zip(keys, (ref.stored_length for ref in manifest.chunks))
                 )
-        return referenced
+                self._reference(stream, generation, keys)
+        return self._live
 
-    def wipe(self) -> None:
-        self.backend.wipe()
-        self.mutations += 1
+    def _reference(
+        self, stream: str, generation: int, keys: Sequence[str]
+    ) -> Optional[tuple[str, ...]]:
+        """Index a just-published generation; return the chunk keys of the
+        generation it replaced (whose references the caller releases)."""
+        self._refs.update(keys)
+        gens = self._live.setdefault(stream, {})
+        replaced = gens.get(generation)
+        gens[generation] = tuple(keys)
+        return replaced
+
+    def _release(self, keys: tuple[str, ...]) -> None:
+        """Drop one reference per key; delete chunks no longer referenced."""
+        refs = self._refs
+        for key in keys:
+            count = refs[key] - 1
+            if count:
+                refs[key] = count
+            else:
+                del refs[key]
+                del self._stored_sizes[key]
+                self.backend.delete(key)

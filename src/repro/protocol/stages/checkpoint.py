@@ -184,7 +184,6 @@ class CheckpointStage(ProtocolStage):
         )
         manifest = core.storage.write_state(core.rank, state.epoch, data)
         if manifest is not None:  # custom storages may return nothing
-            core.generation_manifests.append(manifest)
             core.stats.ckpt_logical_bytes += manifest.logical_bytes
             core.stats.ckpt_stored_bytes += manifest.stored_bytes
             core.stats.ckpt_chunks_reused += manifest.reused_chunks

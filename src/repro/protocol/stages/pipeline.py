@@ -109,9 +109,6 @@ class ProtocolPipeline:
         self.stats = LayerStats()
         #: Set by the checkpoint stage at bind time (initiator rank only).
         self.initiator = None
-        #: Per-generation storage manifests for this rank's checkpoints,
-        #: in wave order (observability; see :mod:`repro.ckpt`).
-        self.generation_manifests: list[Any] = []
         #: Hook invoked right after a local checkpoint is written (tests).
         self.on_checkpoint: Optional[Callable[[CheckpointData], None]] = None
         #: Raw-handle table (empty-stack mode).

@@ -6,8 +6,14 @@ what makes reruns auditable by hash and what the farm's content-addressed
 result cache keys on.  The historical bug: ``created_at=time.time()`` in
 manifests and ``wall_time=time.time()`` in commit records baked host
 wall-clock readings into persisted bytes, so no two runs ever matched.
+
+The golden hashes go further and pin the on-disk format itself: the
+chunks, manifests and commit records these runs leave must stay byte-for-
+byte what they were when the hashes were taken, so a change to the store's
+internals cannot silently move what ``ckpt_bytes`` counts.
 """
 
+import hashlib
 from dataclasses import replace
 
 from repro.runtime.config import RunConfig, Variant
@@ -47,6 +53,26 @@ def _blobs(config, failures=None):
     return dict(storage.store.backend._blobs)
 
 
+def _digest(blobs):
+    """sha256 over the sorted (key, blob) pairs of a backend."""
+    h = hashlib.sha256()
+    for key in sorted(blobs):
+        blob = blobs[key]
+        h.update(key.encode())
+        h.update(len(blob).to_bytes(8, "big"))
+        h.update(blob)
+    return h.hexdigest()
+
+
+def _recovery_schedule():
+    return FailureSchedule.single(0.004, rank=1)
+
+
+#: Backend contents of the two configurations below, by sha256.
+GOLDEN_FAILURE_FREE = "2ab574345d174531226dd7944bcca8fbe8960556cc96b305260c17282b982ebe"
+GOLDEN_RECOVERY = "2172c64efa20dd9cb0d9ebe622094a360022338c5a6e2d8910b13c801823a548"
+
+
 class TestByteIdenticalRuns:
     def test_failure_free_runs_leave_identical_bytes(self):
         first = _blobs(CONFIG)
@@ -58,13 +84,16 @@ class TestByteIdenticalRuns:
         """The same schedule replayed from scratch writes the same bytes —
         including re-taken generations after the rollback."""
         cfg = replace(CONFIG, ckpt_keep_last=2)
-
-        def schedule():
-            return FailureSchedule.single(0.004, rank=1)
-
-        first = _blobs(cfg, failures=schedule)
-        second = _blobs(cfg, failures=schedule)
+        first = _blobs(cfg, failures=_recovery_schedule)
+        second = _blobs(cfg, failures=_recovery_schedule)
         assert first == second
+
+    def test_failure_free_bytes_match_golden(self):
+        assert _digest(_blobs(CONFIG)) == GOLDEN_FAILURE_FREE
+
+    def test_recovery_bytes_match_golden(self):
+        cfg = replace(CONFIG, ckpt_keep_last=2)
+        assert _digest(_blobs(cfg, failures=_recovery_schedule)) == GOLDEN_RECOVERY
 
     def test_manifest_created_at_is_virtual_time(self):
         storage = Storage(None)
